@@ -55,10 +55,21 @@ class CoarseBinning(BinningScheme):
         return matrix.rowptr[ends] - matrix.rowptr[starts]
 
     def bin_ids(self, matrix: CSRMatrix) -> np.ndarray:
-        """Step 2: bin index of each virtual row (overflow -> last bin)."""
-        wl = self.virtual_workloads(matrix)
-        raw = wl // self.u
-        n_overflow = int(np.count_nonzero(raw >= self.max_bins))
+        """Step 2: bin index of each virtual row (overflow -> last bin).
+
+        Side-effect free, so the overhead model can re-derive the ids;
+        :meth:`bin_rows` feeds the overflow counter, once per binning.
+        """
+        return self._clamp(self.virtual_workloads(matrix))
+
+    def _clamp(self, workloads: np.ndarray) -> np.ndarray:
+        return np.minimum(workloads // self.u, self.max_bins - 1)
+
+    def _count_overflow(self, workloads: np.ndarray) -> None:
+        """Count the virtual rows clamped into the last bin."""
+        n_overflow = int(np.count_nonzero(
+            workloads >= self.max_bins * self.u
+        ))
         if n_overflow:
             registry = get_registry()
             registry.counter(
@@ -71,13 +82,14 @@ class CoarseBinning(BinningScheme):
                 "overflow_bin_hit",
                 scheme=self.name,
                 n_virtual_rows=n_overflow,
-                max_workload=int(wl.max()),
+                max_workload=int(workloads.max()),
             )
-        return np.minimum(raw, self.max_bins - 1)
 
     def bin_rows(self, matrix: CSRMatrix) -> BinningResult:
         m, u = matrix.nrows, self.u
-        bin_ids = self.bin_ids(matrix)
+        workloads = self.virtual_workloads(matrix)
+        self._count_overflow(workloads)
+        bin_ids = self._clamp(workloads)
         n_virtual = len(bin_ids)
         bins: list[np.ndarray] = []
         if n_virtual == 0:

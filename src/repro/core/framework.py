@@ -42,6 +42,7 @@ from repro.ml.metrics import error_rate
 from repro.ml.rules import RuleSet
 from repro.ml.tree import DecisionTreeClassifier
 from repro.observe.spans import span
+from repro.serve.batch import run_plan_spmv
 
 __all__ = ["AutoTuner", "TrainingReport"]
 
@@ -238,10 +239,7 @@ class AutoTuner:
         """Plan (unless given) and execute the binned SpMV."""
         if plan is None:
             plan = self.plan(matrix)
-        overhead = plan.scheme.overhead_seconds(matrix, self.device.spec)
-        return self.device.run_spmv(
-            matrix, v, plan.dispatches(), extra_seconds=overhead
-        )
+        return run_plan_spmv(self.device, matrix, v, plan)
 
     def evaluate_strategies(self, matrix: CSRMatrix):
         """Expose the raw per-scheme measurements (for analysis/benches)."""

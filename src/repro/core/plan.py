@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.binning.base import BinningResult, BinningScheme
-from repro.device.executor import Dispatch
+from repro.device.executor import BoundPlan, Dispatch, SimulatedDevice
 from repro.errors import TrainingError
+from repro.formats.csr import CSRMatrix
 from repro.kernels.registry import get_kernel
 
 __all__ = ["ExecutionPlan"]
@@ -47,6 +48,19 @@ class ExecutionPlan:
             (get_kernel(self.bin_kernels[b]), rows)
             for b, rows in self.binning.non_empty()
         ]
+
+    def bind(self, device: SimulatedDevice, matrix: CSRMatrix) -> BoundPlan:
+        """This plan priced once for ``matrix``'s structure on ``device``.
+
+        Everything that does not depend on the right-hand side -- the
+        coverage check, gather locality, per-dispatch cost and the
+        scheme's binning overhead -- is paid here; running the returned
+        :class:`~repro.device.executor.BoundPlan` prices nothing.
+        """
+        return device.bind(
+            matrix, self.dispatches(),
+            extra_seconds=self.scheme.overhead_seconds(matrix, device.spec),
+        )
 
     @property
     def n_launches(self) -> int:

@@ -28,6 +28,24 @@ ROW_OVERHEAD_INSTR = 2.0
 WAVE_OVERHEAD_INSTR = 8.0
 
 
+def _gather_index(
+    matrix: CSRMatrix, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, offsets)`` for the selected rows, in order.
+
+    ``src`` holds the CSR positions of every selected entry and
+    ``offsets`` the row boundaries within it.  Entry ``j`` of the output
+    sits at ``rowptr[r] + (j - offsets[i])`` for the ``i``-th selected
+    row ``r``, so one ``repeat`` of the per-row shift builds the index.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = matrix.rowptr[rows]
+    lengths = matrix.rowptr[rows + 1] - starts
+    offsets = exclusive_scan(lengths)
+    src = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+    return src, offsets
+
+
 def row_products(
     matrix: CSRMatrix, v: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -40,14 +58,7 @@ def row_products(
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (matrix.ncols,):
         raise ShapeError(f"vector has shape {v.shape}, expected ({matrix.ncols},)")
-    rows = np.asarray(rows, dtype=np.int64)
-    lengths = matrix.row_lengths()[rows]
-    offsets = exclusive_scan(lengths)
-    nnz = int(offsets[-1])
-    if nnz == 0:
-        return np.zeros(0), offsets
-    within = np.arange(nnz) - np.repeat(offsets[:-1], lengths)
-    src = np.repeat(matrix.rowptr[rows], lengths) + within
+    src, offsets = _gather_index(matrix, rows)
     return matrix.val[src] * v[matrix.colidx[src]], offsets
 
 
@@ -68,14 +79,7 @@ def row_products_batch(
         raise ShapeError(
             f"operand has shape {dense.shape}, expected ({matrix.ncols}, k)"
         )
-    rows = np.asarray(rows, dtype=np.int64)
-    lengths = matrix.row_lengths()[rows]
-    offsets = exclusive_scan(lengths)
-    nnz = int(offsets[-1])
-    if nnz == 0:
-        return np.zeros((0, dense.shape[1])), offsets
-    within = np.arange(nnz) - np.repeat(offsets[:-1], lengths)
-    src = np.repeat(matrix.rowptr[rows], lengths) + within
+    src, offsets = _gather_index(matrix, rows)
     return matrix.val[src, None] * dense[matrix.colidx[src]], offsets
 
 

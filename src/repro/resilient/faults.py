@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -234,44 +234,23 @@ class ChaosDevice(SimulatedDevice):
     # ------------------------------------------------------------------
     def run_spmv(self, matrix, v, dispatches, **kwargs) -> SpMVResult:
         kind = self._inject("spmv")
-        res = super().run_spmv(matrix, v, dispatches, **kwargs)
-        if kind in (FaultKind.NAN_POISON, FaultKind.INF_POISON):
-            return SpMVResult(
-                u=self._poison(res.u, kind),
-                seconds=res.seconds,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-            )
-        if kind is FaultKind.LATENCY_SPIKE:
-            return SpMVResult(
-                u=res.u,
-                seconds=res.seconds * self.latency_factor,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-            )
-        return res
+        return self._afflict(
+            kind, super().run_spmv(matrix, v, dispatches, **kwargs), "u"
+        )
 
     def run_spmm(self, matrix, dense, dispatches, **kwargs) -> SpMMResult:
         kind = self._inject("spmm")
-        res = super().run_spmm(matrix, dense, dispatches, **kwargs)
+        return self._afflict(
+            kind, super().run_spmm(matrix, dense, dispatches, **kwargs), "U"
+        )
+
+    def _afflict(self, kind: Optional[FaultKind], res, field: str):
+        """Apply a drawn non-raising fault to an execution's result."""
         if kind in (FaultKind.NAN_POISON, FaultKind.INF_POISON):
-            return SpMMResult(
-                U=self._poison(res.U, kind),
-                seconds=res.seconds,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-                n_rhs=res.n_rhs,
-                n_passes=res.n_passes,
-            )
+            return replace(res, **{field: self._poison(getattr(res, field),
+                                                       kind)})
         if kind is FaultKind.LATENCY_SPIKE:
-            return SpMMResult(
-                U=res.U,
-                seconds=res.seconds * self.latency_factor,
-                dispatch_seconds=res.dispatch_seconds,
-                launch_seconds=res.launch_seconds,
-                n_rhs=res.n_rhs,
-                n_passes=res.n_passes,
-            )
+            return replace(res, seconds=res.seconds * self.latency_factor)
         return res
 
 

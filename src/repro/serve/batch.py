@@ -7,7 +7,8 @@ per-launch overheads amortise over ``k`` columns.  This module runs one
 :class:`~repro.core.plan.ExecutionPlan` against an ``(ncols, k)`` block
 on either backend:
 
-- the :class:`~repro.device.executor.SimulatedDevice`, via
+- the :class:`~repro.device.executor.SimulatedDevice`, via the plan's
+  :class:`~repro.device.executor.BoundPlan` and
   :meth:`~repro.device.executor.SimulatedDevice.run_spmm` (plan charged
   once, bandwidth terms scaled by ``k``);
 - the real :class:`~repro.device.cpu.CPUExecutor`, via its
@@ -30,7 +31,6 @@ from repro.core.plan import ExecutionPlan
 from repro.device.cpu import CPUExecutor, PartitionStrategy
 from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
 from repro.formats.csr import CSRMatrix
-from repro.utils.validation import check_spmm_operand
 
 __all__ = [
     "run_plan_spmv",
@@ -47,10 +47,8 @@ def run_plan_spmv(
     v: np.ndarray,
     plan: ExecutionPlan,
 ) -> SpMVResult:
-    """Execute a plan for one RHS, charging its binning overhead."""
-    overhead = plan.scheme.overhead_seconds(matrix, device.spec)
-    return device.run_spmv(matrix, v, plan.dispatches(),
-                           extra_seconds=overhead)
+    """Bind a plan (binning overhead included) and run it for one RHS."""
+    return device.run_spmv(matrix, v, plan.bind(device, matrix))
 
 
 def run_plan_spmm(
@@ -61,7 +59,7 @@ def run_plan_spmm(
     *,
     max_rhs: Optional[int] = None,
 ) -> SpMMResult:
-    """Execute a plan against a multi-RHS block.
+    """Bind a plan and run it against a multi-RHS block.
 
     The binning overhead is paid once for the whole block -- the plan is
     inspected once however wide the batch is.  Kernel launches are paid
@@ -73,34 +71,8 @@ def run_plan_spmm(
     one kernel over columns it never holds -- and is surfaced as
     ``SpMMResult.n_passes``.
     """
-    dense = check_spmm_operand(matrix.ncols, dense)
-    overhead = plan.scheme.overhead_seconds(matrix, device.spec)
-    k = dense.shape[1]
-    if max_rhs is None or k <= max_rhs:
-        return device.run_spmm(matrix, dense, plan.dispatches(),
-                               extra_seconds=overhead)
-    if max_rhs <= 0:
-        raise ValueError(f"max_rhs must be > 0, got {max_rhs}")
-    U = np.zeros((matrix.nrows, k))
-    seconds = overhead
-    dispatch_times: list[float] = []
-    launch_s = 0.0
-    n_passes = 0
-    for lo, hi in iter_column_blocks(k, max_rhs):
-        res = device.run_spmm(matrix, dense[:, lo:hi], plan.dispatches())
-        U[:, lo:hi] = res.U
-        seconds += res.seconds
-        dispatch_times.extend(res.dispatch_seconds)
-        launch_s += res.launch_seconds
-        n_passes += 1
-    return SpMMResult(
-        U=U,
-        seconds=float(seconds),
-        dispatch_seconds=tuple(dispatch_times),
-        launch_seconds=launch_s,
-        n_rhs=k,
-        n_passes=n_passes,
-    )
+    return device.run_spmm(matrix, dense, plan.bind(device, matrix),
+                           max_rhs=max_rhs)
 
 
 def iter_column_blocks(k: int, width: int) -> Iterator[tuple[int, int]]:

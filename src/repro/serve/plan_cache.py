@@ -2,8 +2,12 @@
 
 The cache is the amortisation mechanism of the serving layer: the first
 request for a sparsity pattern pays feature extraction + classifier
-consultation + binning; every later request with the same pattern reuses
-the stored :class:`~repro.core.plan.ExecutionPlan` object unchanged.
+consultation + binning + pricing; every later request with the same
+pattern reuses the stored :class:`~repro.core.plan.ExecutionPlan` object
+unchanged, together with its :class:`~repro.device.executor.BoundPlan`
+(bound on first execution, see :meth:`PlanCache.bound`).  Plan and bound
+plan share one entry, so invalidation, clearing and LRU eviction drop
+both together.
 Capacity is bounded (a server holding plans for millions of distinct
 patterns would itself become the memory problem), with
 least-recently-used eviction and observable hit/miss/eviction counters.
@@ -30,6 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.plan import ExecutionPlan
+from repro.device.executor import BoundPlan, SimulatedDevice
+from repro.formats.csr import CSRMatrix
 from repro.observe.registry import Counter, MetricsRegistry, get_registry
 from repro.serve.fingerprint import MatrixFingerprint
 
@@ -66,6 +72,16 @@ class CacheStats:
         )
 
 
+class _Entry:
+    """One cached plan and, once executed, its bound form."""
+
+    __slots__ = ("plan", "bound")
+
+    def __init__(self, plan: ExecutionPlan):
+        self.plan = plan
+        self.bound: Optional[BoundPlan] = None
+
+
 class PlanCache:
     """Bounded fingerprint -> :class:`ExecutionPlan` LRU map (thread-safe).
 
@@ -90,7 +106,7 @@ class PlanCache:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self.capacity = int(capacity)
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[MatrixFingerprint, ExecutionPlan]" = (
+        self._entries: "OrderedDict[MatrixFingerprint, _Entry]" = (
             OrderedDict()
         )
         # Per-instance tallies as metric instruments (the stats() shim
@@ -126,22 +142,22 @@ class PlanCache:
     def get(self, fp: MatrixFingerprint) -> Optional[ExecutionPlan]:
         """The cached plan for ``fp`` (refreshing recency), else ``None``."""
         with self._lock:
-            plan = self._entries.get(fp)
-            if plan is None:
+            entry = self._entries.get(fp)
+            if entry is None:
                 self._misses.inc()
                 self._m_misses.inc()
                 return None
             self._entries.move_to_end(fp)
             self._hits.inc()
             self._m_hits.inc()
-            return plan
+            return entry.plan
 
     def put(self, fp: MatrixFingerprint, plan: ExecutionPlan) -> None:
         """Insert (or refresh) a plan, evicting the LRU entry if full."""
         with self._lock:
             if fp in self._entries:
                 self._entries.move_to_end(fp)
-            self._entries[fp] = plan
+            self._entries[fp] = _Entry(plan)
             while len(self._entries) > self.capacity:
                 evicted_fp, _ = self._entries.popitem(last=False)
                 self._evictions.inc()
@@ -171,6 +187,32 @@ class PlanCache:
             plan = builder()
             self.put(fp, plan)
             return plan, False
+
+    def bound(
+        self,
+        fp: MatrixFingerprint,
+        plan: ExecutionPlan,
+        device: SimulatedDevice,
+        matrix: CSRMatrix,
+    ) -> BoundPlan:
+        """``plan`` bound for ``device``, binding only on first use.
+
+        The bound plan is stored beside ``plan`` in ``fp``'s entry and
+        rebound only if the device spec changes.  A plan that is no
+        longer the entry's (invalidated or replaced since the caller
+        looked it up) is bound for this call alone.  Binding raises
+        :class:`~repro.errors.DeviceError` for a malformed plan and
+        stores nothing, so every request for it raises.
+        """
+        with self._lock:
+            entry = self._entries.get(fp)
+            if entry is None or entry.plan is not plan:
+                return plan.bind(device, matrix)
+            if entry.bound is None or not entry.bound.binds(
+                matrix.nrows, device.spec
+            ):
+                entry.bound = plan.bind(device, matrix)
+            return entry.bound
 
     # -- invalidation ----------------------------------------------------
     def invalidate(self, fp: MatrixFingerprint) -> bool:

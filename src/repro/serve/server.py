@@ -994,9 +994,15 @@ class SpMVServer:
         if self._sharded is not None:
             return self._sharded_submit(matrix, x, batch=False)
         plan, fp, hit = self._plan_for(matrix)
+
+        def _tuned() -> SpMVResult:
+            return self.device.run_spmv(
+                matrix, x, self.cache.bound(fp, plan, self.device, matrix)
+            )
+
         if self._resilient is None:
             with span("serve.execute", self.registry) as sp:
-                res: SpMVResult = run_plan_spmv(self.device, matrix, x, plan)
+                res = _tuned()
             self._account(sp.seconds, res.seconds, res.n_dispatches,
                           n_rhs=1, batch=False)
             return SubmitResult(
@@ -1018,7 +1024,7 @@ class SpMVServer:
         with span("serve.execute", self.registry) as sp:
             res, outcome = self._resilient.execute(
                 fp,
-                lambda: run_plan_spmv(self.device, matrix, x, plan),
+                _tuned,
                 fallback=_fallback,
                 validate=lambda r: bool(np.isfinite(r.u).all()),
                 on_degrade=lambda cause: self._degrade_plan(fp, cause),
@@ -1088,11 +1094,16 @@ class SpMVServer:
         if self._sharded is not None:
             return self._sharded_submit(matrix, X, batch=True)
         plan, fp, hit = self._plan_for(matrix)
+
+        def _tuned() -> SpMMResult:
+            return self.device.run_spmm(
+                matrix, X, self.cache.bound(fp, plan, self.device, matrix),
+                max_rhs=self.max_rhs,
+            )
+
         if self._resilient is None:
             with span("serve.execute", self.registry) as sp:
-                res: SpMMResult = run_plan_spmm(
-                    self.device, matrix, X, plan, max_rhs=self.max_rhs
-                )
+                res = _tuned()
             self._account(sp.seconds, res.seconds, res.n_dispatches,
                           n_rhs=res.n_rhs, batch=True)
             return SubmitResult(
@@ -1115,9 +1126,7 @@ class SpMVServer:
         with span("serve.execute", self.registry) as sp:
             res, outcome = self._resilient.execute(
                 fp,
-                lambda: run_plan_spmm(
-                    self.device, matrix, X, plan, max_rhs=self.max_rhs
-                ),
+                _tuned,
                 fallback=_fallback,
                 validate=lambda r: bool(np.isfinite(r.U).all()),
                 on_degrade=lambda cause: self._degrade_plan(fp, cause),

@@ -456,6 +456,7 @@ class ShardedExecutor:
         self,
         index: int,
         shard: Shard,
+        fp: MatrixFingerprint,
         plan: ExecutionPlan,
         rhs: np.ndarray,
         *,
@@ -477,16 +478,18 @@ class ShardedExecutor:
                           attrs={"shard": d.shard_id,
                                  "rows": d.row_hi - d.row_lo}):
                     return self._execute_shard(
-                        index, shard, plan, rhs, batch=batch, max_rhs=max_rhs
+                        index, shard, fp, plan, rhs,
+                        batch=batch, max_rhs=max_rhs,
                     )
         return self._execute_shard(
-            index, shard, plan, rhs, batch=batch, max_rhs=max_rhs
+            index, shard, fp, plan, rhs, batch=batch, max_rhs=max_rhs
         )
 
     def _execute_shard(
         self,
         index: int,
         shard: Shard,
+        fp: MatrixFingerprint,
         plan: ExecutionPlan,
         rhs: np.ndarray,
         *,
@@ -496,18 +499,16 @@ class ShardedExecutor:
         device = self.devices[index % len(self.devices)]
 
         def _tuned():
+            bound = self.cache.bound(fp, plan, device, shard.matrix)
             if batch:
-                return run_plan_spmm(
-                    device, shard.matrix, rhs, plan, max_rhs=max_rhs
-                )
-            return run_plan_spmv(device, shard.matrix, rhs, plan)
+                return device.run_spmm(shard.matrix, rhs, bound,
+                                       max_rhs=max_rhs)
+            return device.run_spmv(shard.matrix, rhs, bound)
 
         if self._resilient is None:
             return _ShardOutcome(
                 shard=shard, result=_tuned(), attempts=1, degraded=False
             )
-
-        fp = fingerprint_matrix(shard.matrix)
 
         def _fallback():
             serial = self._serial_plan(shard.matrix)
@@ -595,11 +596,11 @@ class ShardedExecutor:
             # it (not to the whole request) across the thread hop.
             ctx = capture_context()
             outcomes = self._backend.run_tasks([
-                (lambda i=i, shard=shard, plan=plan: self._run_shard(
-                    i, shard, plan, rhs,
+                (lambda i=i, shard=shard, fp=fp, plan=plan: self._run_shard(
+                    i, shard, fp, plan, rhs,
                     batch=batch, max_rhs=max_rhs, trace_ctx=ctx,
                 ))
-                for i, (shard, plan) in enumerate(zip(shards, plans))
+                for i, (shard, fp, plan) in enumerate(zip(shards, fps, plans))
             ])
         contributions = [
             _ShardContribution(

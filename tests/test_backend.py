@@ -242,6 +242,30 @@ class TestSharedMemory:
             assert np.array_equal(matrix.val, val_before)
             assert np.array_equal(ex.run_spmv(matrix, x).y, y0)
 
+    def test_invalidations_leave_one_bound_plan_per_shard(self):
+        """Binding a new generation drops the shard's superseded ones
+        from both worker caches (bound plans and spec groups)."""
+        matrix = gen.power_law_graph(600, seed=3)
+        x = make_rhs(matrix, seed=0)
+        with ShardedExecutor(
+            policy=ShardingPolicy(n_shards=3, backend="process",
+                                  process_workers=1),
+            registry=NULL_REGISTRY,
+        ) as ex:
+            digest = fingerprint_matrix(matrix).digest
+            y0 = ex.run_spmv(matrix, x).y
+            for _ in range(5):
+                ex.invalidate(digest)
+                y = ex.run_spmv(matrix, x).y
+                assert np.array_equal(y, y0)
+            bound_keys, group_keys = ex.backend.probe_cache_keys()
+        per_shard = {}
+        for segment, shard_id, generation in bound_keys:
+            per_shard.setdefault((segment, shard_id), []).append(generation)
+        assert len(per_shard) == 3
+        assert all(gens == [5] for gens in per_shard.values())
+        assert {key[2] for key in group_keys} == {5}
+
     def test_segment_reused_across_warm_requests(self):
         matrix = gen.power_law_graph(300, seed=2)
         with ShardedExecutor(

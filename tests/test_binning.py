@@ -249,3 +249,33 @@ class TestPassCost:
     def test_rejects_inconsistent_contention(self):
         with pytest.raises(BinningError):
             binning_pass_seconds(10, 11, SPEC)
+
+
+def test_overflow_counter_counts_binnings_not_executions():
+    """Pricing and executing a plan re-derives bin ids without counting:
+    the overflow counter moves once per binning."""
+    from repro.core.plan import ExecutionPlan
+    from repro.device import SimulatedDevice
+    from repro.observe import get_registry
+    from repro.serve import run_plan_spmv
+
+    m = gen.power_law_graph(5_000, seed=0)
+    scheme = CoarseBinning(10, max_bins=4)
+    counter = get_registry().counter(
+        "binning_overflow_virtual_rows_total", {"scheme": scheme.name}
+    )
+    before = counter.value
+    binning = scheme.bin_rows(m)
+    after_binning = counter.value
+    assert after_binning > before
+    plan = ExecutionPlan(
+        scheme=scheme,
+        binning=binning,
+        bin_kernels={b: "serial" for b, _ in binning.non_empty()},
+    )
+    device = SimulatedDevice()
+    for _ in range(5):
+        run_plan_spmv(device, m, np.ones(m.ncols), plan)
+        scheme.overhead_seconds(m, device.spec)
+        scheme.bin_ids(m)
+    assert counter.value == after_binning
