@@ -13,7 +13,8 @@ single-RHS traffic over a few sparsity patterns) is served four ways --
   ``ProcessPoolExecutor`` with the CSR row-blocks published once per
   structure in ``multiprocessing.shared_memory`` -- only plan + shard
   descriptors cross the pickle boundary, and warm requests reuse
-  worker-side bound plans.  This one must win in *wall clock* too;
+  worker-side bound plans (as every path reuses its plan cache's).
+  This one must win in *wall clock* too;
 - **coalesced**: ``scheduler=CoalescePolicy(...)`` with concurrent
   clients -- same-matrix requests share one multi-RHS dispatch, paying
   the per-dispatch overhead once per batch instead of once per vector.
@@ -58,9 +59,9 @@ RESULTS_PATH = (
 #: solver-style traffic where serving optimisations should pay off).
 #: Sized so per-request device work dominates fixed submit overhead --
 #: on narrow hosts the process backend's IPC round trip costs a few
-#: hundred microseconds, and the win it is gated on (worker-side
-#: memoised plan binding + accounting vs the unsharded path re-pricing
-#: every dispatch per request) only shows once requests cost milliseconds.
+#: hundred microseconds.  Every path runs bound plans (priced once per
+#: plan), so what remains for the process backend to win on is kernel
+#: compute spread over its workers, net of that round trip.
 N_MATRICES = 3
 N_ROWS = 20_000
 N_REQUESTS = 96
