@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.binning.base import BinningResult, BinningScheme
+from repro.binning.single import SingleBinning
 from repro.device.executor import BoundPlan, Dispatch, SimulatedDevice
 from repro.errors import TrainingError
 from repro.formats.csr import CSRMatrix
 from repro.kernels.registry import get_kernel
 
-__all__ = ["ExecutionPlan"]
+__all__ = ["ExecutionPlan", "fallback_plan"]
 
 
 @dataclass(frozen=True)
@@ -90,3 +91,14 @@ class ExecutionPlan:
                 f"({len(rows)} rows)"
             )
         return "\n".join(lines)
+
+
+def fallback_plan(matrix: CSRMatrix) -> ExecutionPlan:
+    """The always-correct degraded plan: one bin, serial kernel."""
+    binning = SingleBinning().bin_rows(matrix)
+    return ExecutionPlan(
+        scheme=SingleBinning(),
+        binning=binning,
+        bin_kernels={b: "serial" for b, _ in binning.non_empty()},
+        source="fallback",
+    )

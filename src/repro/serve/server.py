@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.binning.single import SingleBinning
-from repro.core.plan import ExecutionPlan
+from repro.core.plan import ExecutionPlan, fallback_plan
 from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
 from repro.errors import DeviceError
 from repro.formats.csr import CSRMatrix
@@ -680,17 +680,6 @@ class SpMVServer:
         return check_spmv_operand(matrix.ncols, rhs)
 
     # -- graceful degradation --------------------------------------------
-    @staticmethod
-    def _fallback_plan(matrix: CSRMatrix) -> ExecutionPlan:
-        """The always-correct degraded plan: one bin, serial kernel."""
-        binning = SingleBinning().bin_rows(matrix)
-        return ExecutionPlan(
-            scheme=SingleBinning(),
-            binning=binning,
-            bin_kernels={b: "serial" for b, _ in binning.non_empty()},
-            source="fallback",
-        )
-
     def _degrade_plan(self, fp: MatrixFingerprint, cause: str) -> None:
         """Drop the failing cached plan and record the downgrade."""
         invalidated = self.cache.invalidate(fp)
@@ -1016,7 +1005,7 @@ class SpMVServer:
         fb: Dict[str, ExecutionPlan] = {}  # built only if degradation hits
 
         def _fallback() -> SpMVResult:
-            fb["plan"] = self._fallback_plan(matrix)
+            fb["plan"] = fallback_plan(matrix)
             return run_plan_spmv(
                 unwrap_device(self.device), matrix, x, fb["plan"]
             )
@@ -1117,7 +1106,7 @@ class SpMVServer:
         fb: Dict[str, ExecutionPlan] = {}  # built only if degradation hits
 
         def _fallback() -> SpMMResult:
-            fb["plan"] = self._fallback_plan(matrix)
+            fb["plan"] = fallback_plan(matrix)
             return run_plan_spmm(
                 unwrap_device(self.device), matrix, X, fb["plan"],
                 max_rhs=self.max_rhs,

@@ -319,7 +319,8 @@ def test_process_run_reports_match_derivation(servers, family):
     for scheme_name, scheme in SCHEMES.items():
         planner.scheme = scheme
         server.clear_cache()
-        descriptors, plans, _ = executor._shard_set_for(matrix, digest)
+        descriptors, fps = executor._shard_set_for(matrix, digest)
+        plans, _ = executor._plan_shards(matrix, descriptors, fps)
         for k, max_rhs in OPS:
             rhs = _rhs(family, k)
             reports = executor.backend.execute(
