@@ -2,7 +2,7 @@
 
 One seeded SPD system, one seeded right-hand side, and the same CG
 solve driven through an :class:`~repro.serve.SpMVServer` once per shard
-execution backend (unsharded, inline, thread, process).  Per backend
+execution backend (unsharded, inline, process).  Per backend
 the reading records what an operator of a solver service cares about:
 
 - **convergence**: iterations to tolerance, final residual, and the
@@ -60,7 +60,6 @@ CHAOS_RATE = 0.1
 CONFIGS = (
     ("unsharded", None),
     ("inline", ShardingPolicy(n_shards=SHARDS, backend="inline")),
-    ("thread", ShardingPolicy(n_shards=SHARDS, backend="thread")),
     ("process", ShardingPolicy(n_shards=SHARDS, backend="process")),
 )
 
@@ -156,7 +155,7 @@ def test_solver_convergence_benchmark():
     # Plan economy: one miss total unsharded, one miss per shard group
     # otherwise -- every later iteration is a cache hit.
     assert base["plan_cache_hits"] == base["spmv_submits"] - 1
-    for name in ("inline", "thread", "process"):
+    for name in ("inline", "process"):
         reading = configs[name]
         assert reading["converged"], name
         # Identical convergence trajectory, bit for bit.

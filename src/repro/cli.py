@@ -401,13 +401,13 @@ def _build_demo_server(args: argparse.Namespace) -> SpMVServer:
     n_shards = getattr(args, "shards", 0)
     if n_shards:
         strategy = PartitionStrategy(getattr(args, "shard_strategy", "nnz"))
-        backend = getattr(args, "backend", "thread")
+        backend = getattr(args, "backend", "inline")
         sharding = ShardingPolicy(
             n_shards=n_shards, strategy=strategy, backend=backend,
         )
         print(f"sharding: {n_shards} shards, {strategy.value}-balanced, "
               f"{sharding.backend.value} backend")
-    elif getattr(args, "backend", "thread") != "thread":
+    elif getattr(args, "backend", "inline") != "inline":
         print(f"note: --backend {args.backend} has no effect without --shards")
     scheduler = None
     if getattr(args, "coalesce", False):
@@ -771,12 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
                          default="nnz",
                          help="row-shard balancing: equal rows or "
                               "equal non-zeros (default nnz)")
-    p_serve.add_argument("--backend", choices=("inline", "thread", "process"),
-                         default="thread",
+    p_serve.add_argument("--backend", choices=("inline", "process"),
+                         default="inline",
                          help="shard execution backend: inline (sequential "
-                              "baseline), thread (pool, GIL-bound), or "
-                              "process (worker pool over shared-memory "
-                              "row-blocks; default thread)")
+                              "on the caller thread; default) or process "
+                              "(worker pool over shared-memory row-blocks)")
     p_serve.add_argument("--coalesce", action="store_true",
                          help="coalesce concurrent same-matrix submits "
                               "into one multi-RHS dispatch")
@@ -855,9 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "concurrent devices (0 = unsharded)")
     p_solve.add_argument("--shard-strategy", choices=("rows", "nnz"),
                          default="nnz")
-    p_solve.add_argument("--backend",
-                         choices=("inline", "thread", "process"),
-                         default="thread",
+    p_solve.add_argument("--backend", choices=("inline", "process"),
+                         default="inline",
                          help="shard execution backend (with --shards)")
     p_solve.add_argument("--chaos", action="store_true",
                          help="inject seeded faults mid-solve and serve "

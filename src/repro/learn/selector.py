@@ -394,9 +394,9 @@ class OnlineSelector:
         """Route :meth:`plan` to ``decision``'s arm on this thread.
 
         Planning happens synchronously on the submitting thread in
-        every backend (inline, thread and process shard planning all
-        run before the dispatch fans out), so a thread-local is exactly
-        the right scope.
+        every backend (inline and process shard planning both run
+        before the shards execute), so a thread-local is exactly the
+        right scope.
         """
         previous = getattr(self._active, "decision", None)
         self._active.decision = decision

@@ -4,11 +4,13 @@ The paper balances work *inside* one dispatch (binning rows, one kernel
 per bin); this package scales the same idea *past* one dispatch:
 
 - :mod:`repro.shard.partition` -- cut a matrix into ``K`` row-shards
-  (ROWS or NNZ-balanced), each a zero-copy-where-possible sub-CSR with
-  its own feature vector, so the tuner plans every shard independently;
-- :mod:`repro.shard.executor` -- execute per-shard plans concurrently
-  on a pool of devices, scatter-gather the output, degrade a failing
-  shard to serial without poisoning its siblings;
+  (ROWS or NNZ-balanced), each a zero-copy-where-possible sub-CSR, so
+  the tuner plans every shard independently;
+- :mod:`repro.shard.executor` -- execute per-shard plans on one
+  simulated device per shard (inline or in a process pool), reusing
+  each structure's cached shard set and shard plans, scatter-gather
+  the output, degrade a failing shard to serial without poisoning its
+  siblings;
 - :mod:`repro.shard.scheduler` -- coalesce concurrent same-matrix SpMV
   requests into one multi-RHS dispatch behind an admission-controlled
   queue.

@@ -380,7 +380,7 @@ def _drive(server, mats, vecs, repeats=3):
     return out
 
 
-@pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_epsilon_zero_bit_identical_to_static_server(backend):
     """Satellite property: learning with epsilon=0 is a no-op.
 

@@ -333,8 +333,6 @@ class TestShardedExecutorBehaviour:
         with pytest.raises(ValueError):
             ShardingPolicy(n_shards=0)
         with pytest.raises(ValueError):
-            ShardingPolicy(max_workers=0)
-        with pytest.raises(ValueError):
             ShardingPolicy(plan_cache_capacity=0)
 
 
