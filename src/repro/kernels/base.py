@@ -10,6 +10,8 @@ ever calls :meth:`Kernel.compute` (for results) and :meth:`Kernel.cost`
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -17,9 +19,10 @@ from repro.device.dispatch import DispatchStats
 from repro.device.spec import DeviceSpec
 from repro.errors import KernelError, ShapeError
 from repro.formats.csr import CSRMatrix
-from repro.utils.primitives import exclusive_scan, segmented_sum
+from repro.utils.primitives import exclusive_scan
 
-__all__ = ["Kernel", "row_products", "row_products_batch", "pad_reshape"]
+__all__ = ["Kernel", "Gather", "row_products", "row_products_batch",
+           "pad_reshape"]
 
 #: Wavefront-instruction budget charged per row for prologue/epilogue
 #: (index load from the bin array, rowptr reads, result store).
@@ -44,6 +47,38 @@ def _gather_index(
     offsets = exclusive_scan(lengths)
     src = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
     return src, offsets
+
+
+@dataclass(frozen=True, eq=False)
+class Gather:
+    """One launch's structure-only gather, built once when a plan binds.
+
+    Index data only -- no values, no views of ``val`` or ``colidx``, no
+    reference to the matrix -- so it serves every matrix with the
+    structure it was built from.
+    """
+
+    #: CSR positions of the launch's entries, in launch order: a
+    #: ``slice`` when the rows form one ascending run, else an index.
+    src: Union[slice, np.ndarray]
+    #: Start of each non-empty row within the gathered entries.
+    starts: np.ndarray
+    #: Local indices (into the launch's rows) of the non-empty rows.
+    nonempty: np.ndarray
+
+    @classmethod
+    def of(cls, matrix: CSRMatrix, rows: np.ndarray) -> "Gather":
+        """The gather for ``rows`` of ``matrix``'s structure."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if (len(rows) and 0 <= rows[0] and rows[-1] < matrix.nrows
+                and np.all(np.diff(rows) == 1)):
+            lo, hi = int(rows[0]), int(rows[-1]) + 1
+            offsets = matrix.rowptr[lo:hi + 1] - matrix.rowptr[lo]
+            src = slice(int(matrix.rowptr[lo]), int(matrix.rowptr[hi]))
+        else:
+            src, offsets = _gather_index(matrix, rows)
+        nonempty = np.flatnonzero(np.diff(offsets))
+        return cls(src, offsets[nonempty], nonempty)
 
 
 def row_products(
@@ -71,8 +106,9 @@ def row_products_batch(
     ``(products, offsets)`` where ``products`` has shape ``(nnz, k)`` and
     row ``j`` holds ``val[j] * dense[colidx[j], :]``.  Column ``c`` of
     the result equals ``row_products(matrix, dense[:, c], rows)[0]``
-    exactly, so batched execution can reduce all ``k`` columns in one
-    pass without changing any floating-point outcome.
+    exactly, and ``segmented_sum_2d`` of it equals
+    :meth:`Kernel.compute` on ``dense`` bit for bit.  The executor no
+    longer calls it; it is the independent form tests derive from.
     """
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != matrix.ncols:
@@ -109,17 +145,24 @@ class Kernel(ABC):
     def compute(
         self,
         matrix: CSRMatrix,
-        v: np.ndarray,
+        rhs: np.ndarray,
         rows: np.ndarray,
         *,
         emulate: bool = False,
+        gather: Optional[Gather] = None,
     ) -> np.ndarray:
-        """Dot products of the selected ``rows`` of ``matrix`` with ``v``.
+        """Dot products of the selected ``rows`` of ``matrix`` with ``rhs``.
 
-        With ``emulate=True`` the kernel reproduces the OpenCL
-        implementation's lane-level staging and reduction order exactly
-        (slow; for validation).  The default fast path is vectorised and
-        equal up to floating-point association.
+        ``rhs`` is a vector or an ``(ncols, k)`` block; the result has
+        one row per selected row and ``rhs``'s trailing shape.  The
+        vectorised fast path gathers ``val`` and ``colidx`` once, at
+        ``gather`` (the launch's bound :class:`Gather`; built here when
+        omitted), then reduces each column with one ``reduceat`` -- so
+        column ``c`` is exactly the SpMV of ``rhs[:, c]``.  With
+        ``emulate=True`` the kernel reproduces the OpenCL
+        implementation's lane-level staging and reduction order for a
+        single vector (slow; for validation), equal to the fast path up
+        to floating-point association.
         """
 
     @abstractmethod
@@ -140,11 +183,27 @@ class Kernel(ABC):
     # Convenience shared by implementations ------------------------------
     @staticmethod
     def _fast_row_dots(
-        matrix: CSRMatrix, v: np.ndarray, rows: np.ndarray
+        matrix: CSRMatrix,
+        rhs: np.ndarray,
+        rows: np.ndarray,
+        gather: Optional[Gather] = None,
     ) -> np.ndarray:
-        """Vectorised per-row dot products (fast path)."""
-        products, offsets = row_products(matrix, v, rows)
-        return segmented_sum(products, offsets)
+        """Vectorised per-row dot products for 1 or k columns (fast path)."""
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != matrix.ncols:
+            raise ShapeError(f"operand has shape {rhs.shape}, expected "
+                             f"({matrix.ncols},) or ({matrix.ncols}, k)")
+        if gather is None:
+            gather = Gather.of(matrix, rows)
+        # Column-major output: each column below is one contiguous row of
+        # ``out.T``, as each column of an F-ordered ``rhs`` is of ``rhs.T``.
+        out = np.zeros((len(rows),) + rhs.shape[1:], order="F")
+        if len(gather.starts):
+            val, cols = matrix.val[gather.src], matrix.colidx[gather.src]
+            for x, y in zip(np.atleast_2d(rhs.T), np.atleast_2d(out.T)):
+                y[gather.nonempty] = np.add.reduceat(val * x[cols],
+                                                     gather.starts)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -11,6 +11,8 @@ window overflows the L1.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.device.dispatch import DispatchStats
@@ -26,6 +28,7 @@ from repro.formats.csr import CSRMatrix
 from repro.kernels.base import (
     ROW_OVERHEAD_INSTR,
     WAVE_OVERHEAD_INSTR,
+    Gather,
     Kernel,
     pad_reshape,
     row_products,
@@ -46,16 +49,17 @@ class SerialKernel(Kernel):
     def compute(
         self,
         matrix: CSRMatrix,
-        v: np.ndarray,
+        rhs: np.ndarray,
         rows: np.ndarray,
         *,
         emulate: bool = False,
+        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         if not emulate:
-            return self._fast_row_dots(matrix, v, rows)
+            return self._fast_row_dots(matrix, rhs, rows, gather)
         # Lane-faithful: strictly left-to-right accumulation per row,
         # matching the OpenCL kernel's scalar loop.
-        products, offsets = row_products(matrix, v, rows)
+        products, offsets = row_products(matrix, rhs, rows)
         out = np.zeros(len(rows))
         for i in range(len(rows)):
             acc = 0.0

@@ -12,6 +12,8 @@ lengths as in Kernel-Serial).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.device.dispatch import DispatchStats
@@ -28,6 +30,7 @@ from repro.formats.csr import CSRMatrix
 from repro.kernels.base import (
     ROW_OVERHEAD_INSTR,
     WAVE_OVERHEAD_INSTR,
+    Gather,
     Kernel,
     pad_reshape,
     row_products,
@@ -67,14 +70,15 @@ class SubvectorKernel(Kernel):
     def compute(
         self,
         matrix: CSRMatrix,
-        v: np.ndarray,
+        rhs: np.ndarray,
         rows: np.ndarray,
         *,
         emulate: bool = False,
+        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         if not emulate:
-            return self._fast_row_dots(matrix, v, rows)
-        products, offsets = row_products(matrix, v, rows)
+            return self._fast_row_dots(matrix, rhs, rows, gather)
+        products, offsets = row_products(matrix, rhs, rows)
         out = np.zeros(len(rows))
         x, chunk = self.x, FACTOR * self.x
         for i in range(len(rows)):

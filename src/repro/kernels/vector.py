@@ -9,6 +9,8 @@ almost every lane idles and the per-row work-group launch dominates.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.device.dispatch import DispatchStats
@@ -23,6 +25,7 @@ from repro.formats.csr import CSRMatrix
 from repro.kernels.base import (
     ROW_OVERHEAD_INSTR,
     WAVE_OVERHEAD_INSTR,
+    Gather,
     Kernel,
     row_products,
 )
@@ -45,14 +48,15 @@ class VectorKernel(Kernel):
     def compute(
         self,
         matrix: CSRMatrix,
-        v: np.ndarray,
+        rhs: np.ndarray,
         rows: np.ndarray,
         *,
         emulate: bool = False,
+        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         if not emulate:
-            return self._fast_row_dots(matrix, v, rows)
-        products, offsets = row_products(matrix, v, rows)
+            return self._fast_row_dots(matrix, rhs, rows, gather)
+        products, offsets = row_products(matrix, rhs, rows)
         out = np.zeros(len(rows))
         group = 256
         chunk = FACTOR * group

@@ -209,7 +209,7 @@ class PlanCache:
             if entry is None or entry.plan is not plan:
                 return plan.bind(device, matrix)
             if entry.bound is None or not entry.bound.binds(
-                matrix.nrows, device.spec
+                matrix, device.spec
             ):
                 entry.bound = plan.bind(device, matrix)
             return entry.bound
