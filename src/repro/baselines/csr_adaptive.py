@@ -171,7 +171,7 @@ class CSRAdaptiveSpMV:
         u = matrix.matvec_reference(v)  # same arithmetic, per-row sums
         seconds = self.time(matrix)
         return SpMVResult(
-            u=u,
+            y=u,
             seconds=seconds,
             dispatch_seconds=(seconds,),
             launch_seconds=self.device.spec.seconds(

@@ -168,7 +168,7 @@ class MergeSpMV:
         u = self.compute(matrix, v)
         seconds = self.time(matrix)
         return SpMVResult(
-            u=u,
+            y=u,
             seconds=seconds,
             dispatch_seconds=(seconds,),
             launch_seconds=self.device.spec.seconds(

@@ -49,7 +49,7 @@ class RequestRecord:
     cache_hit: bool
     #: Shard count (0 = unsharded execution).
     shards: int
-    #: Shard execution backend (``inline``/``thread``/``process``);
+    #: Shard execution backend (``inline``/``process``);
     #: ``None`` when the server runs unsharded.
     backend: Optional[str]
     #: Requests sharing this request's dispatch (1 = no coalescing).

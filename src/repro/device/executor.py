@@ -37,29 +37,11 @@ Dispatch = Tuple[Kernel, np.ndarray]
 
 @dataclass(frozen=True)
 class SpMVResult:
-    """Outcome of one simulated binned SpMV execution."""
+    """Outcome of one simulated binned execution, one or k right-hand sides."""
 
-    #: The numerical result vector (length = matrix rows).
-    u: np.ndarray
-    #: Total simulated seconds (kernel time + launch overheads).
-    seconds: float
-    #: Per-dispatch simulated seconds (excluding the fixed launch cost).
-    dispatch_seconds: Tuple[float, ...]
-    #: Seconds spent in fixed kernel-launch overhead.
-    launch_seconds: float
-
-    @property
-    def n_dispatches(self) -> int:
-        """Number of kernel launches the plan needed."""
-        return len(self.dispatch_seconds)
-
-
-@dataclass(frozen=True)
-class SpMMResult:
-    """Outcome of one simulated *batched* (multi-RHS) execution."""
-
-    #: The numerical result block (``nrows x k``).
-    U: np.ndarray
+    #: The numerical result: ``(nrows,)`` for a vector, ``(nrows, k)``
+    #: for a block.
+    y: np.ndarray
     #: Total simulated seconds (kernel time + launch overheads).
     seconds: float
     #: Per-dispatch simulated seconds (excluding the fixed launch cost).
@@ -67,15 +49,30 @@ class SpMMResult:
     #: Seconds spent in fixed kernel-launch overhead.
     launch_seconds: float
     #: Number of right-hand sides served.
-    n_rhs: int
+    n_rhs: int = 1
     #: Dispatch sequences (passes) that produced this result: the column
-    #: blocks of a ``max_rhs`` split, each re-paying the plan's launches.
+    #: blocks of a ``max_rhs`` split, each re-paying the plan's launches
+    #: (0 for a block with no columns).
     n_passes: int = 1
+
+    @property
+    def u(self) -> np.ndarray:
+        """The result vector (alias of :attr:`y`)."""
+        return self.y
+
+    @property
+    def U(self) -> np.ndarray:
+        """The result block (alias of :attr:`y`)."""
+        return self.y
 
     @property
     def n_dispatches(self) -> int:
         """Total kernel launches across all passes (independent of k)."""
         return len(self.dispatch_seconds)
+
+
+#: The multi-RHS name of the one result type.
+SpMMResult = SpMVResult
 
 
 def _scale_stats_for_rhs(stats: DispatchStats, n_rhs: int) -> DispatchStats:
@@ -247,6 +244,19 @@ class SimulatedDevice:
         ), extra_seconds)
 
     # ------------------------------------------------------------------
+    def run(self, matrix: CSRMatrix, rhs: np.ndarray,
+            dispatches: Union[Sequence[Dispatch], BoundPlan], *,
+            max_rhs: Optional[int] = None) -> SpMVResult:
+        """Execute a plan against a vector or an ``(ncols, k)`` block.
+
+        The operand's shape is the only thing that chooses: a 2-D
+        ``rhs`` runs through :meth:`run_spmm` (``max_rhs`` caps its
+        pass width), anything else through :meth:`run_spmv`.
+        """
+        if np.ndim(rhs) == 2:
+            return self.run_spmm(matrix, rhs, dispatches, max_rhs=max_rhs)
+        return self.run_spmv(matrix, rhs, dispatches)
+
     def run_spmv(self, matrix: CSRMatrix, v: np.ndarray,
                  dispatches: Union[Sequence[Dispatch], BoundPlan],
                  **binding) -> SpMVResult:
@@ -257,38 +267,33 @@ class SimulatedDevice:
         ``binding`` (the keywords of :meth:`bind`).  The operand is
         checked on every call.
         """
-        u, seconds, times, launch_s, _ = self._run(
-            matrix, check_spmv_operand(matrix.ncols, v), dispatches, binding
-        )
-        return SpMVResult(u, seconds, times, launch_s)
+        return self._run(matrix, check_spmv_operand(matrix.ncols, v),
+                         dispatches, binding)
 
     def run_spmm(self, matrix: CSRMatrix, dense: np.ndarray,
                  dispatches: Union[Sequence[Dispatch], BoundPlan], *,
-                 max_rhs: Optional[int] = None, **binding) -> SpMMResult:
+                 max_rhs: Optional[int] = None, **binding) -> SpMVResult:
         """Execute one binned plan against a multi-RHS block ``(ncols, k)``.
 
         The batched :meth:`run_spmv`, through the same kernel body: each
         launch gathers its entries once per pass and reduces each of the
         pass's columns with one ``reduceat``, so column ``j`` is
-        bit-identical to ``run_spmv(matrix, dense[:, j], ...).u``.  A
+        bit-identical to ``run_spmv(matrix, dense[:, j], ...).y``.  A
         ``max_rhs`` cap below ``k`` splits the block into column blocks,
         each a separate dispatch sequence re-paying the launches
-        (``n_passes``); the extra (binning) overhead is charged once.
+        (``n_passes``); the extra (binning) overhead is charged once.  A
+        block with no columns runs no pass: no launch, no dispatch
+        record, only the extra overhead.
         """
-        dense = check_spmm_operand(matrix.ncols, dense)
-        U, seconds, times, launch_s, n_passes = self._run(
-            matrix, dense, dispatches, binding, max_rhs
-        )
-        return SpMMResult(U, seconds, times, launch_s, dense.shape[1],
-                          n_passes)
+        return self._run(matrix, check_spmm_operand(matrix.ncols, dense),
+                         dispatches, binding, max_rhs)
 
     def _run(self, matrix: CSRMatrix, rhs: np.ndarray, dispatches,
-             binding: dict, max_rhs: Optional[int] = None):
+             binding: dict, max_rhs: Optional[int] = None) -> SpMVResult:
         """One execution body for SpMV (1-D ``rhs``) and SpMM (2-D).
 
-        Returns ``(out, seconds, dispatch_seconds, launch_seconds,
-        n_passes)``.  Seconds are ``overhead + (sum + launch)`` per pass;
-        addition commutes, so one pass equals ``sum + launch + overhead``.
+        Seconds are ``overhead + (sum + launch)`` per pass; addition
+        commutes, so one pass equals ``sum + launch + overhead``.
         """
         if not isinstance(dispatches, BoundPlan):
             bound = self.bind(matrix, dispatches, **binding)
@@ -302,10 +307,10 @@ class SimulatedDevice:
         split = max_rhs is not None and k > max_rhs
         if split and max_rhs <= 0:
             raise ValueError(f"max_rhs must be > 0, got {max_rhs}")
-        blocks = ([(lo, min(lo + max_rhs, k)) for lo in range(0, k, max_rhs)]
-                  if split else [(0, k)])
+        step = max_rhs if split else max(k, 1)
+        blocks = [(lo, min(lo + step, k)) for lo in range(0, k, step)]
         op = "spmm" if batch else "spmv"
-        out = np.zeros((matrix.nrows, k) if batch else matrix.nrows)
+        out = np.zeros((matrix.nrows,) + rhs.shape[1:])
         launch_s = len(bound.dispatches) * self.spec.seconds(
             self.spec.kernel_launch_cycles
         )
@@ -338,5 +343,5 @@ class SimulatedDevice:
             seconds += float(sum(times) + launch_s)
             all_times.extend(times)
             launch_total += launch_s
-        return (out, float(seconds), tuple(all_times), launch_total,
-                len(blocks))
+        return SpMVResult(out, float(seconds), tuple(all_times), launch_total,
+                          k, len(blocks))

@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
+from repro.device.executor import SimulatedDevice, SpMVResult
 from repro.errors import DeviceError, KernelError, TransientDeviceError
 
 __all__ = [
@@ -235,20 +235,19 @@ class ChaosDevice(SimulatedDevice):
     def run_spmv(self, matrix, v, dispatches, **kwargs) -> SpMVResult:
         kind = self._inject("spmv")
         return self._afflict(
-            kind, super().run_spmv(matrix, v, dispatches, **kwargs), "u"
+            kind, super().run_spmv(matrix, v, dispatches, **kwargs)
         )
 
-    def run_spmm(self, matrix, dense, dispatches, **kwargs) -> SpMMResult:
+    def run_spmm(self, matrix, dense, dispatches, **kwargs) -> SpMVResult:
         kind = self._inject("spmm")
         return self._afflict(
-            kind, super().run_spmm(matrix, dense, dispatches, **kwargs), "U"
+            kind, super().run_spmm(matrix, dense, dispatches, **kwargs)
         )
 
-    def _afflict(self, kind: Optional[FaultKind], res, field: str):
+    def _afflict(self, kind: Optional[FaultKind], res: SpMVResult):
         """Apply a drawn non-raising fault to an execution's result."""
         if kind in (FaultKind.NAN_POISON, FaultKind.INF_POISON):
-            return replace(res, **{field: self._poison(getattr(res, field),
-                                                       kind)})
+            return replace(res, y=self._poison(res.y, kind))
         if kind is FaultKind.LATENCY_SPIKE:
             return replace(res, seconds=res.seconds * self.latency_factor)
         return res

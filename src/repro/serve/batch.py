@@ -1,18 +1,22 @@
-"""Batched plan execution: one tuned plan, many right-hand sides.
+"""Plan execution for one or k right-hand sides.
 
 Multi-RHS batching is the standard throughput lever for repeated SpMV
 traffic: the matrix (and its plan) is read once per *batch* instead of
 once per *vector*, so the bandwidth-bound matrix traffic and all
-per-launch overheads amortise over ``k`` columns.  This module runs one
-:class:`~repro.core.plan.ExecutionPlan` against an ``(ncols, k)`` block
-on either backend:
+per-launch overheads amortise over ``k`` columns.  The operand's shape
+alone picks the path -- a vector is SpMV, an ``(ncols, k)`` block is
+SpMM -- and both run one :class:`~repro.core.plan.ExecutionPlan`:
 
-- the :class:`~repro.device.executor.SimulatedDevice`, via the plan's
-  :class:`~repro.device.executor.BoundPlan` and
-  :meth:`~repro.device.executor.SimulatedDevice.run_spmm` (plan charged
-  once, bandwidth terms scaled by ``k``);
-- the real :class:`~repro.device.cpu.CPUExecutor`, via its
-  gather + ``reduceat`` SpMM path (wall-clock measured).
+- :func:`run_cached` runs a plan-cache entry's
+  :class:`~repro.device.executor.BoundPlan` through
+  :meth:`~repro.device.executor.SimulatedDevice.run`, optionally behind
+  a :class:`~repro.resilient.ResilientExecutor` that degrades to the
+  fallback plan.  The server and inline shards both serve through it;
+- :func:`run_plan_spmv` / :func:`run_plan_spmm` bind a plan and run it
+  once on the simulated device (plan charged once, bandwidth terms
+  scaled by ``k``);
+- :func:`cpu_batch_spmm` runs a block on the real
+  :class:`~repro.device.cpu.CPUExecutor` (wall-clock measured).
 
 Column ``j`` of every batched result is bit-identical to the
 single-vector execution on ``X[:, j]`` -- the differential suite pins
@@ -23,16 +27,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.plan import ExecutionPlan
+from repro.core.plan import ExecutionPlan, fallback_plan
 from repro.device.cpu import CPUExecutor, PartitionStrategy
 from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
 from repro.formats.csr import CSRMatrix
+from repro.resilient.faults import unwrap_device
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.resilient.executor import ResilientExecutor
+    from repro.serve.fingerprint import MatrixFingerprint
+    from repro.serve.plan_cache import PlanCache
 
 __all__ = [
+    "run_cached",
     "run_plan_spmv",
     "run_plan_spmm",
     "cpu_batch_spmm",
@@ -73,6 +84,51 @@ def run_plan_spmm(
     """
     return device.run_spmm(matrix, dense, plan.bind(device, matrix),
                            max_rhs=max_rhs)
+
+
+def run_cached(
+    device: SimulatedDevice,
+    cache: PlanCache,
+    fp: MatrixFingerprint,
+    plan: ExecutionPlan,
+    matrix: CSRMatrix,
+    rhs: np.ndarray,
+    *,
+    max_rhs: Optional[int] = None,
+    resilient: Optional[ResilientExecutor] = None,
+    on_degrade: Optional[Callable[[str], None]] = None,
+) -> Tuple[SpMVResult, ExecutionPlan, int, bool]:
+    """Run ``fp``'s cached ``plan`` on ``device`` for a vector or a block.
+
+    The bound plan comes from ``cache`` (bound on first use).  With a
+    ``resilient`` executor the run retries, its ``y`` must be finite,
+    and once retries run out ``on_degrade`` fires and the request is
+    served by :func:`~repro.core.plan.fallback_plan`, bound on the
+    unwrapped device -- the fallback plan is built only then.
+
+    Returns ``(result, plan that ran, attempts, degraded)``.
+    """
+    def tuned() -> SpMVResult:
+        return device.run(matrix, rhs, cache.bound(fp, plan, device, matrix),
+                          max_rhs=max_rhs)
+
+    if resilient is None:
+        return tuned(), plan, 1, False
+    fallbacks = []
+
+    def fallback() -> SpMVResult:
+        clean = unwrap_device(device)
+        fallbacks.append(fallback_plan(matrix))
+        return clean.run(matrix, rhs, fallbacks[-1].bind(clean, matrix),
+                         max_rhs=max_rhs)
+
+    res, outcome = resilient.execute(
+        fp, tuned, fallback=fallback,
+        validate=lambda r: bool(np.isfinite(r.y).all()),
+        on_degrade=on_degrade,
+    )
+    ran = fallbacks[-1] if outcome.degraded else plan
+    return res, ran, outcome.attempts, outcome.degraded
 
 
 def iter_column_blocks(k: int, width: int) -> Iterator[tuple[int, int]]:

@@ -5,12 +5,18 @@ and binning for *every* matrix -- fine for one-shot benchmarking, wrong
 for serving repeated traffic.  The server splits that cost along the
 inspector--executor line:
 
-1. **fingerprint** the incoming matrix's sparsity structure (cheap hash);
+1. **fingerprint** the incoming matrix's sparsity structure (cheap hash),
+   once per request;
 2. **plan-or-hit**: consult the LRU plan cache; only a miss runs the
    planner (the tuner's predict phase, or a heuristic fallback);
 3. **execute** the plan -- single vector or a whole multi-RHS block in
    one dispatch sequence;
 4. account everything in an observable stats snapshot.
+
+``submit`` (a vector) and ``submit_batch`` (an ``(ncols, k)`` block)
+validate their operand and then share one request body: the operand's
+shape is the only thing that tells SpMV from SpMM below them, down to
+the device and the process workers.
 
 Iterative solvers, time-stepping codes and PageRank-style workloads all
 re-submit one pattern with changing values; after the first request they
@@ -56,8 +62,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.binning.single import SingleBinning
-from repro.core.plan import ExecutionPlan, fallback_plan
-from repro.device.executor import SimulatedDevice, SpMMResult, SpMVResult
+from repro.core.plan import ExecutionPlan
+from repro.device.executor import SimulatedDevice
 from repro.errors import DeviceError
 from repro.formats.csr import CSRMatrix
 from repro.observe.registry import MetricsRegistry, get_registry
@@ -71,7 +77,7 @@ from repro.resilient.executor import (
     ResilientExecutor,
 )
 from repro.resilient.faults import unwrap_device
-from repro.serve.batch import run_plan_spmm, run_plan_spmv
+from repro.serve.batch import run_cached
 from repro.serve.fingerprint import (
     FingerprintCache,
     FingerprintCacheStats,
@@ -645,11 +651,10 @@ class SpMVServer:
 
     # -- planning --------------------------------------------------------
     def _plan_for(
-        self, matrix: CSRMatrix
-    ) -> tuple[ExecutionPlan, MatrixFingerprint, bool]:
-        with span("serve.fingerprint", self.registry) as sp_fp:
-            fp = self._fingerprints.fingerprint(matrix)
-        with span("serve.plan", self.registry) as sp_plan:
+        self, matrix: CSRMatrix, fp: MatrixFingerprint
+    ) -> tuple[ExecutionPlan, bool]:
+        """``fp``'s plan from the cache, planning ``matrix`` on a miss."""
+        with span("serve.plan", self.registry) as sp:
             plan, hit = self.cache.get_or_build(
                 fp, lambda: self._planner(matrix)
             )
@@ -657,27 +662,13 @@ class SpMVServer:
             self.registry.emit(
                 "planner_fallback", fingerprint=str(fp), source=plan.source
             )
+        self._observe_stage("plan", sp.seconds)
+        return plan, hit
+
+    def _observe_stage(self, stage: str, seconds: float) -> None:
         with self._lock:
-            self._stage_seconds["fingerprint"] += sp_fp.seconds
-            self._stage_seconds["plan"] += sp_plan.seconds
-        self._m_stage["fingerprint"].observe(sp_fp.seconds)
-        self._m_stage["plan"].observe(sp_plan.seconds)
-        return plan, fp, hit
-
-    # -- input validation ------------------------------------------------
-    @staticmethod
-    def _validate_rhs(
-        matrix: CSRMatrix, rhs: np.ndarray, *, batch: bool
-    ) -> np.ndarray:
-        """Check an operand *before* planning touches the cache.
-
-        A malformed vector must raise :class:`~repro.errors.ShapeError`
-        up front -- not surface a NumPy broadcast/cast error mid-execute
-        after a cache entry was already created for the pattern.
-        """
-        if batch:
-            return check_spmm_operand(matrix.ncols, rhs)
-        return check_spmv_operand(matrix.ncols, rhs)
+            self._stage_seconds[stage] += seconds
+        self._m_stage[stage].observe(seconds)
 
     # -- graceful degradation --------------------------------------------
     def _degrade_plan(self, fp: MatrixFingerprint, cause: str) -> None:
@@ -690,37 +681,7 @@ class SpMVServer:
             was_cached=invalidated,
         )
 
-    # -- sharded / coalesced routing -------------------------------------
-    def _sharded_submit(
-        self, matrix: CSRMatrix, rhs: np.ndarray, *, batch: bool
-    ) -> SubmitResult:
-        """Serve one request through the sharded executor."""
-        with span("serve.fingerprint", self.registry) as sp_fp:
-            fp = self._fingerprints.fingerprint(matrix)
-        with self._lock:
-            self._stage_seconds["fingerprint"] += sp_fp.seconds
-        self._m_stage["fingerprint"].observe(sp_fp.seconds)
-        with span("serve.execute", self.registry) as sp:
-            if batch:
-                res = self._sharded.run_spmm(matrix, rhs,
-                                             max_rhs=self.max_rhs,
-                                             fingerprint=fp)
-            else:
-                res = self._sharded.run_spmv(matrix, rhs, fingerprint=fp)
-        self._account(sp.seconds, res.seconds, res.n_dispatches,
-                      n_rhs=res.n_rhs, batch=batch)
-        return SubmitResult(
-            y=res.y,
-            seconds=res.seconds,
-            n_dispatches=res.n_dispatches,
-            cache_hit=res.cache_hit,
-            fingerprint=fp,
-            plan=None,
-            attempts=res.attempts,
-            degraded=bool(res.summary.degraded_shards),
-            shards=res.summary,
-        )
-
+    # -- coalesced routing -----------------------------------------------
     def _coalesced_submit(
         self, matrix: CSRMatrix, x: np.ndarray, tenant: str = DEFAULT_TENANT
     ) -> SubmitResult:
@@ -734,26 +695,18 @@ class SpMVServer:
         """
         scheduled = self._scheduler.submit(matrix, x, tenant=tenant)
         group: SubmitResult = scheduled.batch
-        return SubmitResult(
+        return replace(
+            group,
             y=group.y[:, scheduled.column],
-            seconds=group.seconds,
-            n_dispatches=group.n_dispatches,
-            cache_hit=group.cache_hit,
-            fingerprint=group.fingerprint,
-            plan=group.plan,
-            attempts=group.attempts,
-            degraded=group.degraded,
             coalesced_width=scheduled.width,
-            shards=group.shards,
             dispatch_trace_id=scheduled.dispatch_trace_id,
-            arm=group.arm,
-            explored=group.explored,
         )
 
     # -- online learning -------------------------------------------------
     def _learned_request(
         self,
         matrix: CSRMatrix,
+        fp: MatrixFingerprint,
         no_explore: bool,
         body: Callable[[], SubmitResult],
     ) -> SubmitResult:
@@ -769,7 +722,6 @@ class SpMVServer:
         execution is reported back as a fault so the arm is penalized
         (and eventually quarantined), not retried forever.
         """
-        fp = self._fingerprints.fingerprint(matrix)
         with span("learn.decide", self.registry) as sp:
             decision = self._selector.decide(
                 matrix, fp.digest, allow_explore=not no_explore
@@ -971,65 +923,8 @@ class SpMVServer:
     ) -> SubmitResult:
         if self._scheduler is not None:
             return self._coalesced_submit(matrix, x, tenant)
-        x = self._validate_rhs(matrix, x, batch=False)
-        if self._selector is not None:
-            return self._learned_request(
-                matrix, no_explore, lambda: self._serve_spmv(matrix, x)
-            )
-        return self._serve_spmv(matrix, x)
-
-    def _serve_spmv(self, matrix: CSRMatrix, x: np.ndarray) -> SubmitResult:
-        """The single-RHS execution body (post-validation, post-decide)."""
-        if self._sharded is not None:
-            return self._sharded_submit(matrix, x, batch=False)
-        plan, fp, hit = self._plan_for(matrix)
-
-        def _tuned() -> SpMVResult:
-            return self.device.run_spmv(
-                matrix, x, self.cache.bound(fp, plan, self.device, matrix)
-            )
-
-        if self._resilient is None:
-            with span("serve.execute", self.registry) as sp:
-                res = _tuned()
-            self._account(sp.seconds, res.seconds, res.n_dispatches,
-                          n_rhs=1, batch=False)
-            return SubmitResult(
-                y=res.u,
-                seconds=res.seconds,
-                n_dispatches=res.n_dispatches,
-                cache_hit=hit,
-                fingerprint=fp,
-                plan=plan,
-            )
-        fb: Dict[str, ExecutionPlan] = {}  # built only if degradation hits
-
-        def _fallback() -> SpMVResult:
-            fb["plan"] = fallback_plan(matrix)
-            return run_plan_spmv(
-                unwrap_device(self.device), matrix, x, fb["plan"]
-            )
-
-        with span("serve.execute", self.registry) as sp:
-            res, outcome = self._resilient.execute(
-                fp,
-                _tuned,
-                fallback=_fallback,
-                validate=lambda r: bool(np.isfinite(r.u).all()),
-                on_degrade=lambda cause: self._degrade_plan(fp, cause),
-            )
-        self._account(sp.seconds, res.seconds, res.n_dispatches,
-                      n_rhs=1, batch=False)
-        return SubmitResult(
-            y=res.u,
-            seconds=res.seconds,
-            n_dispatches=res.n_dispatches,
-            cache_hit=hit,
-            fingerprint=fp,
-            plan=fb["plan"] if outcome.degraded else plan,
-            attempts=outcome.attempts,
-            degraded=outcome.degraded,
-        )
+        return self._execute(matrix, check_spmv_operand(matrix.ncols, x),
+                             no_explore)
 
     def submit_batch(
         self,
@@ -1042,13 +937,15 @@ class SpMVServer:
     ) -> SubmitResult:
         """Serve ``k`` right-hand sides in one request.
 
-        Column ``j`` of the result is bit-identical to
-        ``submit(matrix, X[:, j]).y``.  The plan and its binning
-        overhead are charged once for the block; kernel launches are
-        charged once per *pass* -- a single pass when ``k <= max_rhs``
-        (or no cap is set), one pass per column block otherwise, since
-        each block is physically a separate dispatch sequence (see
-        :func:`~repro.serve.batch.run_plan_spmm`).
+        ``X`` is an ``(ncols, k)`` block; after validation it takes the
+        same request body as :meth:`submit`'s vector, and column ``j``
+        of the result is bit-identical to ``submit(matrix, X[:, j]).y``.
+        The plan and its binning overhead are charged once for the
+        block; kernel launches are charged once per *pass* -- a single
+        pass when ``k <= max_rhs`` (or no cap is set), one pass per
+        column block otherwise, since each block is physically a
+        separate dispatch sequence.  A block with no columns runs no
+        pass at all.
 
         ``tenant``/``priority``/``deadline`` behave as in
         :meth:`submit`; a k-wide batch costs the tenant one admission
@@ -1071,89 +968,82 @@ class SpMVServer:
         this during :meth:`close` -- after ``_closed`` is already set,
         which is exactly why the public wrapper owns the check.
         """
-        X = self._validate_rhs(matrix, X, batch=True)
-        if self._selector is not None:
-            return self._learned_request(
-                matrix, no_explore, lambda: self._serve_spmm(matrix, X)
-            )
-        return self._serve_spmm(matrix, X)
+        return self._execute(matrix, check_spmm_operand(matrix.ncols, X),
+                             no_explore)
 
-    def _serve_spmm(self, matrix: CSRMatrix, X: np.ndarray) -> SubmitResult:
-        """The multi-RHS execution body (post-validation, post-decide)."""
+    def _execute(
+        self, matrix: CSRMatrix, rhs: np.ndarray, no_explore: bool
+    ) -> SubmitResult:
+        """Fingerprint once, decide an arm when learning, then serve.
+
+        ``rhs`` is already validated: a vector or an ``(ncols, k)``
+        block, and its shape is all that tells the two apart below.
+        """
+        with span("serve.fingerprint", self.registry) as sp:
+            fp = self._fingerprints.fingerprint(matrix)
+        self._observe_stage("fingerprint", sp.seconds)
+        if self._selector is None:
+            return self._serve(matrix, fp, rhs)
+        return self._learned_request(
+            matrix, fp, no_explore, lambda: self._serve(matrix, fp, rhs)
+        )
+
+    def _serve(
+        self, matrix: CSRMatrix, fp: MatrixFingerprint, rhs: np.ndarray
+    ) -> SubmitResult:
+        """The one execution body, for a vector or an ``(ncols, k)`` block.
+
+        Sharded servers hand the request to the sharded executor (which
+        plans, retries and degrades per shard); otherwise the plan comes
+        from the cache and :func:`~repro.serve.batch.run_cached` runs it,
+        through the resilient executor when one is configured.
+        """
+        plan, shards = None, None
         if self._sharded is not None:
-            return self._sharded_submit(matrix, X, batch=True)
-        plan, fp, hit = self._plan_for(matrix)
-
-        def _tuned() -> SpMMResult:
-            return self.device.run_spmm(
-                matrix, X, self.cache.bound(fp, plan, self.device, matrix),
-                max_rhs=self.max_rhs,
-            )
-
-        if self._resilient is None:
             with span("serve.execute", self.registry) as sp:
-                res = _tuned()
-            self._account(sp.seconds, res.seconds, res.n_dispatches,
-                          n_rhs=res.n_rhs, batch=True)
-            return SubmitResult(
-                y=res.U,
-                seconds=res.seconds,
-                n_dispatches=res.n_dispatches,
-                cache_hit=hit,
-                fingerprint=fp,
-                plan=plan,
-            )
-        fb: Dict[str, ExecutionPlan] = {}  # built only if degradation hits
-
-        def _fallback() -> SpMMResult:
-            fb["plan"] = fallback_plan(matrix)
-            return run_plan_spmm(
-                unwrap_device(self.device), matrix, X, fb["plan"],
-                max_rhs=self.max_rhs,
-            )
-
-        with span("serve.execute", self.registry) as sp:
-            res, outcome = self._resilient.execute(
-                fp,
-                _tuned,
-                fallback=_fallback,
-                validate=lambda r: bool(np.isfinite(r.U).all()),
-                on_degrade=lambda cause: self._degrade_plan(fp, cause),
-            )
-        self._account(sp.seconds, res.seconds, res.n_dispatches,
-                      n_rhs=res.n_rhs, batch=True)
+                res = (
+                    self._sharded.run_spmm(matrix, rhs, max_rhs=self.max_rhs,
+                                           fingerprint=fp)
+                    if rhs.ndim == 2 else
+                    self._sharded.run_spmv(matrix, rhs, fingerprint=fp)
+                )
+            hit, attempts, shards = res.cache_hit, res.attempts, res.summary
+            degraded = bool(shards.degraded_shards)
+        else:
+            plan, hit = self._plan_for(matrix, fp)
+            with span("serve.execute", self.registry) as sp:
+                res, plan, attempts, degraded = run_cached(
+                    self.device, self.cache, fp, plan, matrix, rhs,
+                    max_rhs=self.max_rhs, resilient=self._resilient,
+                    on_degrade=lambda cause: self._degrade_plan(fp, cause),
+                )
+        self._account(sp.seconds, res, batch=rhs.ndim == 2)
         return SubmitResult(
-            y=res.U,
+            y=res.y,
             seconds=res.seconds,
             n_dispatches=res.n_dispatches,
             cache_hit=hit,
             fingerprint=fp,
-            plan=fb["plan"] if outcome.degraded else plan,
-            attempts=outcome.attempts,
-            degraded=outcome.degraded,
+            plan=plan,
+            attempts=attempts,
+            degraded=degraded,
+            shards=shards,
         )
 
-    def _account(
-        self,
-        execute_wall: float,
-        seconds: float,
-        launches: int,
-        *,
-        n_rhs: int,
-        batch: bool,
-    ) -> None:
+    def _account(self, execute_wall: float, res, *, batch: bool) -> None:
+        """Count one served request; ``res`` is a device or sharded result."""
         with self._lock:
             self._requests += 1
             self._batch_requests += 1 if batch else 0
-            self._rhs_served += n_rhs
+            self._rhs_served += res.n_rhs
             self._dispatch_sequences += 1
-            self._kernel_launches += launches
-            self._simulated_seconds += seconds
+            self._kernel_launches += res.n_dispatches
+            self._simulated_seconds += res.seconds
             self._stage_seconds["execute"] += execute_wall
         self._m_requests["batch" if batch else "single"].inc()
-        self._m_rhs.inc(n_rhs)
-        self._m_launches.inc(launches)
-        self._m_sim_seconds.inc(seconds)
+        self._m_rhs.inc(res.n_rhs)
+        self._m_launches.inc(res.n_dispatches)
+        self._m_sim_seconds.inc(res.seconds)
         self._m_stage["execute"].observe(execute_wall)
 
     # -- cache control ---------------------------------------------------

@@ -52,7 +52,7 @@ from repro.observe.spans import current_trace, span, trace_event
 from repro.trace.context import capture_context
 from repro.resilient.executor import ResiliencePolicy, ResilientExecutor
 from repro.resilient.faults import unwrap_device
-from repro.serve.batch import run_plan_spmm, run_plan_spmv
+from repro.serve.batch import run_cached
 from repro.serve.fingerprint import (
     FingerprintCache,
     MatrixFingerprint,
@@ -238,18 +238,26 @@ class _ShardContribution:
     def of(
         cls,
         descriptor: ShardDescriptor,
-        result: Tuple[np.ndarray, float, int],
+        result,
         *,
         attempts: int = 1,
         degraded: bool = False,
     ) -> "_ShardContribution":
-        """From a ``(y, seconds, n_dispatches)`` triple."""
-        y, seconds, n_dispatches = result
-        return cls(descriptor, y, seconds, n_dispatches, attempts, degraded)
+        """From a device result or a worker's
+        :class:`~repro.shard.backend.ShardRunReport` (both carry ``y``,
+        ``seconds`` and ``n_dispatches``)."""
+        return cls(descriptor, result.y, result.seconds,
+                   result.n_dispatches, attempts, degraded)
 
 
 class ShardedExecutor:
     """Plan and execute row-shards, one simulated device per shard.
+
+    :meth:`run_spmv` and :meth:`run_spmm` validate their operand and
+    share one body below that: the operand's shape alone decides
+    between one and k right-hand sides, on either backend.  Inline
+    shards run through :func:`~repro.serve.batch.run_cached`, the
+    server's own cached-plan runner.
 
     Parameters
     ----------
@@ -456,91 +464,35 @@ class ShardedExecutor:
         fp: MatrixFingerprint,
         plan: ExecutionPlan,
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
     ) -> _ShardContribution:
         """Run one shard's bound plan on its row block, on this thread.
 
         Only the block's rebased ``rowptr`` is new; the bound plan comes
-        from the plan cache.  A degraded shard invalidates only its own
-        plan, so the next request re-plans that shard alone.  Under an
-        active trace the shard runs in a ``shard.worker`` span, nested in
-        the request's ``shard.execute``.
+        from the plan cache through :func:`~repro.serve.batch.run_cached`,
+        the server's own runner.  A degraded shard invalidates only its
+        own plan, so the next request re-plans that shard alone.  Under
+        an active trace the shard runs in a ``shard.worker`` span,
+        nested in the request's ``shard.execute``.
         """
         block = extract_row_block(
             matrix, descriptor.row_lo, descriptor.row_hi
         )
-        device = self._device_for(descriptor)
-
-        def _tuned():
-            bound = self.cache.bound(fp, plan, device, block)
-            if batch:
-                res = device.run_spmm(block, rhs, bound, max_rhs=max_rhs)
-                return res.U, res.seconds, res.n_dispatches
-            res = device.run_spmv(block, rhs, bound)
-            return res.u, res.seconds, res.n_dispatches
-
         worker_span = nullcontext() if current_trace() is None else span(
             "shard.worker", self.registry,
             attrs={"shard": descriptor.shard_id, "rows": descriptor.n_rows},
         )
         with worker_span:
-            if self._resilient is None:
-                return _ShardContribution.of(descriptor, _tuned())
-            return self._resilient_shard(
-                descriptor, fp, _tuned,
-                lambda: self._serial_run(matrix, descriptor, rhs,
-                                         batch=batch, max_rhs=max_rhs),
+            res, _plan, attempts, degraded = run_cached(
+                self._device_for(descriptor), self.cache, fp, plan, block,
+                rhs, max_rhs=max_rhs, resilient=self._resilient,
                 on_degrade=lambda cause: self.cache.invalidate(fp),
             )
+        return _ShardContribution.of(descriptor, res, attempts=attempts,
+                                     degraded=degraded)
 
     def _device_for(self, descriptor: ShardDescriptor) -> SimulatedDevice:
         return self.devices[descriptor.shard_id % len(self.devices)]
-
-    def _serial_run(
-        self,
-        matrix: CSRMatrix,
-        descriptor: ShardDescriptor,
-        rhs: np.ndarray,
-        *,
-        batch: bool,
-        max_rhs: Optional[int],
-    ) -> Tuple[np.ndarray, float, int]:
-        """The degraded path for one shard: the fallback plan over a
-        fresh row block, on the shard's unwrapped device."""
-        block = extract_row_block(
-            matrix, descriptor.row_lo, descriptor.row_hi
-        )
-        plan = fallback_plan(block)
-        clean = unwrap_device(self._device_for(descriptor))
-        if batch:
-            res = run_plan_spmm(clean, block, rhs, plan, max_rhs=max_rhs)
-            return res.U, res.seconds, res.n_dispatches
-        res = run_plan_spmv(clean, block, rhs, plan)
-        return res.u, res.seconds, res.n_dispatches
-
-    def _resilient_shard(
-        self,
-        descriptor: ShardDescriptor,
-        key,
-        attempt: Callable[[], Tuple[np.ndarray, float, int]],
-        fallback: Callable[[], Tuple[np.ndarray, float, int]],
-        *,
-        on_degrade: Callable[[str], None],
-    ) -> _ShardContribution:
-        """One shard through retry, breaker and degradation."""
-        result, outcome = self._resilient.execute(
-            key,
-            attempt,
-            fallback=fallback,
-            validate=lambda t: bool(np.isfinite(t[0]).all()),
-            on_degrade=on_degrade,
-        )
-        return _ShardContribution.of(
-            descriptor, result,
-            attempts=outcome.attempts, degraded=outcome.degraded,
-        )
 
     # -- execution -------------------------------------------------------
     def run_spmv(
@@ -556,9 +508,8 @@ class ShardedExecutor:
         matrix (the server) hand the identity down; the shard-set cache
         (and the process backend's shared segments) key on its digest.
         """
-        x = check_spmv_operand(matrix.ncols, x)
-        return self._run(matrix, x, batch=False, max_rhs=None,
-                         fingerprint=fingerprint)
+        return self._run(matrix, check_spmv_operand(matrix.ncols, x), None,
+                         fingerprint)
 
     def run_spmm(
         self,
@@ -569,19 +520,18 @@ class ShardedExecutor:
         fingerprint: Optional[MatrixFingerprint] = None,
     ) -> ShardedResult:
         """Sharded multi-RHS execution; each shard runs the whole block."""
-        dense = check_spmm_operand(matrix.ncols, dense)
-        return self._run(matrix, dense, batch=True, max_rhs=max_rhs,
-                         fingerprint=fingerprint)
+        return self._run(matrix, check_spmm_operand(matrix.ncols, dense),
+                         max_rhs, fingerprint)
 
     def _run(
         self,
         matrix: CSRMatrix,
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
-        fingerprint: Optional[MatrixFingerprint] = None,
+        fingerprint: Optional[MatrixFingerprint],
     ) -> ShardedResult:
+        """The one body behind :meth:`run_spmv` and :meth:`run_spmm`;
+        ``rhs``'s shape alone says whether it serves one column or k."""
         self._check_open()
         fp = (fingerprint if fingerprint is not None
               else self._fingerprints.fingerprint(matrix))
@@ -591,21 +541,15 @@ class ShardedExecutor:
         with span("shard.execute", self.registry):
             if self._backend.kind is ExecutionBackend.PROCESS:
                 contributions = self._run_process(
-                    matrix, fp, descriptors, plans, rhs,
-                    batch=batch, max_rhs=max_rhs,
+                    matrix, fp, descriptors, plans, rhs, max_rhs
                 )
             else:
                 contributions = [
                     self._execute_shard(matrix, d, shard_fp, plan, rhs,
-                                        batch=batch, max_rhs=max_rhs)
+                                        max_rhs)
                     for d, shard_fp, plan in zip(descriptors, fps, plans)
                 ]
-        return self._finalize(
-            matrix, contributions,
-            batch=batch,
-            n_rhs=rhs.shape[1] if batch else 1,
-            all_hit=all_hit,
-        )
+        return self._finalize(matrix, contributions, rhs, all_hit)
 
     # -- invalidation ----------------------------------------------------
     def invalidate(self, digest: str) -> bool:
@@ -647,8 +591,6 @@ class ShardedExecutor:
         descriptors: Sequence[ShardDescriptor],
         plans: Sequence[ExecutionPlan],
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
     ) -> List[_ShardContribution]:
         backend: ProcessShardBackend = self._backend
@@ -659,17 +601,15 @@ class ShardedExecutor:
         try:
             reports = backend.execute(
                 matrix, fp.digest, descriptors, plans, rhs,
-                batch=batch, max_rhs=max_rhs, trace_ref=trace_ref,
+                max_rhs=max_rhs, trace_ref=trace_ref,
             )
         except WorkerCrashError:
             # Dead worker == shard fault: every shard of the broken
             # dispatch re-drives through the resilience path (remote
             # retry on the healed pool, serial parent-side fallback).
             return [
-                self._process_shard_fault(
-                    matrix, fp, d, plan, rhs,
-                    batch=batch, max_rhs=max_rhs, trace_ref=trace_ref,
-                )
+                self._process_shard_fault(matrix, fp, d, plan, rhs, max_rhs,
+                                          trace_ref)
                 for d, plan in zip(descriptors, plans)
             ]
         if ctx is not None:
@@ -681,10 +621,8 @@ class ShardedExecutor:
                            "backend": "process",
                            "pid": r.pid},
                 )
-        return [
-            _ShardContribution.of(d, (r.y, r.seconds, r.n_dispatches))
-            for d, r in zip(descriptors, reports)
-        ]
+        return [_ShardContribution.of(d, r)
+                for d, r in zip(descriptors, reports)]
 
     def _process_shard_fault(
         self,
@@ -693,8 +631,6 @@ class ShardedExecutor:
         descriptor: ShardDescriptor,
         plan: ExecutionPlan,
         rhs: np.ndarray,
-        *,
-        batch: bool,
         max_rhs: Optional[int],
         trace_ref,
     ) -> _ShardContribution:
@@ -703,20 +639,27 @@ class ShardedExecutor:
         The *attempt* is a remote single-shard execution on the healed
         pool -- a transient crash heals with a correct result and no
         degradation.  The *fallback* is the parent-side serial
-        reference path over a fresh row block of the current matrix.
+        reference path: the fallback plan over a fresh row block of the
+        current matrix, on the shard's unwrapped device.  With a
+        resilience policy the attempt retries behind the shard's own
+        breaker, keyed by ``(digest, shard_id)``.
         """
         backend: ProcessShardBackend = self._backend
 
         def _attempt():
-            r = backend.execute_single(
+            return backend.execute_single(
                 matrix, fp.digest, descriptor, plan, rhs,
-                batch=batch, max_rhs=max_rhs, trace_ref=trace_ref,
+                max_rhs=max_rhs, trace_ref=trace_ref,
             )
-            return r.y, r.seconds, r.n_dispatches
 
         def _fallback():
-            return self._serial_run(matrix, descriptor, rhs,
-                                    batch=batch, max_rhs=max_rhs)
+            block = extract_row_block(
+                matrix, descriptor.row_lo, descriptor.row_hi
+            )
+            clean = unwrap_device(self._device_for(descriptor))
+            return clean.run(block, rhs,
+                             fallback_plan(block).bind(clean, block),
+                             max_rhs=max_rhs)
 
         if self._resilient is None:
             try:
@@ -725,10 +668,16 @@ class ShardedExecutor:
                 return _ShardContribution.of(
                     descriptor, _fallback(), degraded=True
                 )
-        return self._resilient_shard(
-            descriptor, (fp.digest, descriptor.shard_id), _attempt,
-            _fallback,
+        result, outcome = self._resilient.execute(
+            (fp.digest, descriptor.shard_id),
+            _attempt,
+            fallback=_fallback,
+            validate=lambda r: bool(np.isfinite(r.y).all()),
             on_degrade=lambda cause: self.invalidate(fp.digest),
+        )
+        return _ShardContribution.of(
+            descriptor, result,
+            attempts=outcome.attempts, degraded=outcome.degraded,
         )
 
     # -- gather + accounting ---------------------------------------------
@@ -736,14 +685,11 @@ class ShardedExecutor:
         self,
         matrix: CSRMatrix,
         contributions: Sequence[_ShardContribution],
-        *,
-        batch: bool,
-        n_rhs: int,
+        rhs: np.ndarray,
         all_hit: bool,
     ) -> ShardedResult:
         with span("shard.gather", self.registry) as sp_gather:
-            shape = (matrix.nrows, n_rhs) if batch else (matrix.nrows,)
-            y = np.zeros(shape)
+            y = np.zeros((matrix.nrows,) + rhs.shape[1:])
             for c in contributions:
                 y[c.descriptor.row_lo : c.descriptor.row_hi] = c.y
         shard_seconds = tuple(c.seconds for c in contributions)
@@ -768,7 +714,7 @@ class ShardedExecutor:
             n_dispatches=sum(c.n_dispatches for c in contributions),
             cache_hit=all_hit,
             attempts=sum(c.attempts for c in contributions),
-            n_rhs=n_rhs,
+            n_rhs=rhs.shape[1] if rhs.ndim == 2 else 1,
             summary=summary,
         )
 

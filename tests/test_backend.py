@@ -575,16 +575,16 @@ class TestCrashSafety:
             plans, _ = ex._plan_shards(matrix, descs, fps)
             backend: ProcessShardBackend = ex.backend
             before = {r.pid for r in backend.execute(
-                matrix, digest, descs, plans, x, batch=False, max_rhs=None,
+                matrix, digest, descs, plans, x, max_rhs=None,
             )}
             backend.kill_requests.add(1)
             with pytest.raises(WorkerCrashError):
                 backend.execute(
                     matrix, digest, descs, plans, x,
-                    batch=False, max_rhs=None,
+                    max_rhs=None,
                 )
             after = {r.pid for r in backend.execute(
-                matrix, digest, descs, plans, x, batch=False, max_rhs=None,
+                matrix, digest, descs, plans, x, max_rhs=None,
             )}
             assert backend.restarts == 1
             assert before.isdisjoint(after)
@@ -695,7 +695,7 @@ class TestTracePropagation:
             plans, _ = ex._plan_shards(matrix, descs, fps)
             reports = ex.backend.execute(
                 matrix, digest, descs, plans, x,
-                batch=False, max_rhs=None,
+                max_rhs=None,
                 trace_ref=("trace-xyz", "span-abc"),
             )
             assert all(r.trace_id == "trace-xyz" for r in reports)

@@ -335,7 +335,7 @@ def test_process_run_reports_match_derivation(servers, family):
             rhs = _rhs(family, k)
             reports = executor.backend.execute(
                 matrix, digest, descriptors, plans, rhs,
-                batch=k is not None, max_rhs=max_rhs,
+                max_rhs=max_rhs,
             )
             for shard, report in zip(shards, reports):
                 y, seconds, times, launch_s, n_passes = _derive(

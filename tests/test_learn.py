@@ -449,6 +449,33 @@ class TestServerIntegration:
         assert stats.exploration_rate <= 0.5 + 1e-12
         assert "online learning" in server.stats().describe()
 
+    @pytest.mark.parametrize("sharding", [None, "inline"],
+                             ids=["unsharded", "inline"])
+    def test_each_request_is_fingerprinted_once(self, monkeypatch, sharding):
+        server = SpMVServer(
+            None,
+            learning=LearningPolicy(epsilon=0.0),
+            sharding=(ShardingPolicy(n_shards=2, backend=sharding)
+                      if sharding is not None else None),
+        )
+        calls = []
+        fingerprint = server._fingerprints.fingerprint
+
+        def counting(matrix):
+            calls.append(matrix)
+            return fingerprint(matrix)
+
+        monkeypatch.setattr(server._fingerprints, "fingerprint", counting)
+        m = _matrix(15)
+        x = np.ones(m.ncols)
+        with server:
+            server.submit(m, x)
+            assert len(calls) == 1
+            server.submit_batch(m, np.ones((m.ncols, 3)))
+            assert len(calls) == 2
+            server.submit(gen.banded(300, seed=15), x)
+            assert len(calls) == 3
+
     def test_arm_change_replans_through_invalidate(self):
         server = SpMVServer(
             None,

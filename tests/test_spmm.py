@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.device import CPUExecutor, PartitionStrategy
+from repro.device import CPUExecutor, PartitionStrategy, SimulatedDevice
+from repro.device.executor import SpMMResult, SpMVResult
 from repro.errors import ShapeError
 from repro.formats import CSRMatrix
 from repro.matrices import generators as gen
+from repro.observe import MetricsRegistry
+from repro.serve import SpMVServer, heuristic_planner, run_plan_spmm
+from repro.shard import ShardingPolicy
 
 
 def _random_csr(m, n, density, seed):
@@ -95,3 +99,73 @@ class TestCPUSpMM:
         b = np.random.default_rng(seed ^ 0x77).standard_normal((n, k))
         out = pool.spmm(a, b)
         np.testing.assert_allclose(out, a.to_dense() @ b, atol=1e-9)
+
+
+# -- the simulated device: one result type, one entry point ------------
+def _dispatch_records(registry: MetricsRegistry) -> float:
+    return sum(c["value"] for c in registry.snapshot()["counters"]
+               if c["name"] == "device_dispatches_total")
+
+
+class TestSimulatedDeviceRun:
+    def _bound(self, m):
+        device = SimulatedDevice(registry=MetricsRegistry())
+        return device, heuristic_planner(m).bind(device, m)
+
+    def test_operand_shape_picks_the_entry_point(self):
+        calls = []
+
+        class Counting(SimulatedDevice):
+            def run_spmv(self, *args, **kwargs):
+                calls.append("spmv")
+                return super().run_spmv(*args, **kwargs)
+
+            def run_spmm(self, *args, **kwargs):
+                calls.append("spmm")
+                return super().run_spmm(*args, **kwargs)
+
+        m = gen.banded(200, avg_nnz=8.0, seed=0)
+        device = Counting(registry=MetricsRegistry())
+        bound = heuristic_planner(m).bind(device, m)
+        rng = np.random.default_rng(5)
+        x, X = rng.standard_normal(m.ncols), rng.standard_normal((m.ncols, 3))
+        one = device.run(m, x, bound)
+        block = device.run(m, X, bound, max_rhs=2)
+        assert calls == ["spmv", "spmm"]
+        assert one.y.tobytes() == device.run_spmv(m, x, bound).y.tobytes()
+        assert (one.n_rhs, one.n_passes) == (1, 1)
+        assert (block.n_rhs, block.n_passes) == (3, 2)
+        assert one.u is one.y and block.U is block.y
+        assert SpMMResult is SpMVResult
+
+    def test_max_rhs_must_be_positive_only_to_split(self):
+        m = gen.banded(200, avg_nnz=8.0, seed=0)
+        device, bound = self._bound(m)
+        empty = device.run_spmm(m, np.zeros((m.ncols, 0)), bound, max_rhs=0)
+        assert empty.n_passes == 0
+        with pytest.raises(ValueError):
+            device.run_spmm(m, np.ones((m.ncols, 3)), bound, max_rhs=0)
+
+
+@pytest.mark.parametrize("path", ["device", "plain", "inline", "process"])
+def test_zero_column_block_runs_no_pass(path):
+    """k = 0 launches nothing and costs only the plan's extra overhead."""
+    m = gen.banded(200, avg_nnz=8.0, seed=0)
+    registry = MetricsRegistry()
+    empty = np.zeros((m.ncols, 0))
+    if path == "device":
+        device = SimulatedDevice(registry=registry)
+        res = run_plan_spmm(device, m, empty, heuristic_planner(m))
+        assert (res.n_rhs, res.n_passes) == (0, 0)
+    else:
+        sharding = (None if path == "plain"
+                    else ShardingPolicy(n_shards=2, backend=path))
+        with SpMVServer(registry=registry, sharding=sharding,
+                        max_rhs=2) as server:
+            res = server.submit_batch(m, empty)
+            assert server.stats().kernel_launches == 0
+    assert res.y.shape == (m.nrows, 0)
+    assert res.n_dispatches == 0
+    # The heuristic plan is single-bin: no binning overhead either.
+    assert res.seconds == 0.0
+    assert _dispatch_records(registry) == 0
