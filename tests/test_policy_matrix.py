@@ -6,16 +6,21 @@ to execute (unsharded, inline shards, process shards).  This sweep
 builds one server per combination (64 subsets x 3 = 192 servers, chaos
 off) and drives the same traffic through each: three structures, one
 with rows longer than 128 non-zeros, each served by one ``submit`` and
-one ``submit_batch`` with k = 3 (two passes under ``max_rhs=2``), cold,
-warm, after ``invalidate()`` of one matrix and after ``clear_cache()``.
+one ``submit_batch`` with k = 3 (two passes under ``max_rhs=2``).  It
+runs six rounds: cold and warm on the original objects; then, with
+every request carrying a fresh copy of its structure (new ``rowptr``
+and ``colidx`` arrays), a round as they are, one after ``invalidate()``
+of a fresh copy of one matrix, one after ``invalidate()`` of another
+original and one after ``clear_cache()``.
 
 Per configuration it asserts:
 
-- every ``y`` is byte-equal to the plain server's;
+- every ``y`` is byte-equal to the plain server's, and every result's
+  fingerprint equals :func:`~repro.serve.fingerprint_matrix`'s;
 - plan-cache *misses* (not planner calls: a learning server also calls
   the base planner to seed its tree arm's prior) are ``3K`` cold, none
-  warm, ``K`` after one ``invalidate()`` and ``3K`` after
-  ``clear_cache()``, with ``K`` the shard count (1 unsharded);
+  warm or on fresh copies, ``K`` after each ``invalidate()`` and ``3K``
+  after ``clear_cache()``, with ``K`` the shard count (1 unsharded);
 - a block on ``submit`` and a vector on ``submit_batch`` raise
   :class:`~repro.errors.ShapeError`;
 - the front door ends with nothing pending and admitted every call;
@@ -24,8 +29,8 @@ Per configuration it asserts:
 
 A 16-thread hammer then runs one configuration per class (plain, every
 in-process policy, inline shards with every policy, process shards
-with every policy) and checks each request's bytes and the counters
-under concurrency.
+with every policy), half of its requests on fresh copies, and checks
+each request's bytes and the counters under concurrency.
 """
 
 from __future__ import annotations
@@ -39,11 +44,12 @@ import pytest
 
 from repro.blackbox import BlackboxPolicy
 from repro.errors import ShapeError
+from repro.formats import CSRMatrix
 from repro.learn import LearningPolicy
 from repro.matrices import generators as gen
 from repro.observe import MetricsRegistry
 from repro.resilient import ResiliencePolicy
-from repro.serve import AdmissionPolicy, SpMVServer
+from repro.serve import AdmissionPolicy, SpMVServer, fingerprint_matrix
 from repro.shard.executor import ShardingPolicy
 from repro.shard.scheduler import CoalescePolicy
 from repro.trace import TracingPolicy
@@ -82,6 +88,12 @@ INPUTS = [
     (_RNG.standard_normal(m.ncols), _RNG.standard_normal((m.ncols, K)))
     for m in MATRICES
 ]
+FINGERPRINTS = [fingerprint_matrix(m) for m in MATRICES]
+
+
+def _fresh(m: CSRMatrix) -> CSRMatrix:
+    """The same structure as a new object with copied index arrays."""
+    return CSRMatrix(m.rowptr.copy(), m.colidx.copy(), m.val, m.shape)
 
 
 def _server(policies, sharding: Optional[str]) -> SpMVServer:
@@ -110,28 +122,38 @@ def _misses(server: SpMVServer) -> int:
             else stats.cache).misses
 
 
-def _round(server: SpMVServer) -> List[bytes]:
-    """One ``submit`` and one ``submit_batch`` per structure."""
+def _round(server: SpMVServer, fresh: bool) -> List[bytes]:
+    """One ``submit`` and one ``submit_batch`` per structure.
+
+    With ``fresh``, every request carries a new copy of its structure.
+    """
     out = []
-    for m, (x, X) in zip(MATRICES, INPUTS):
-        out.append(server.submit(m, x).y.tobytes())
-        out.append(server.submit_batch(m, X).y.tobytes())
+    for i, (x, X) in enumerate(INPUTS):
+        for call, rhs in ((server.submit, x), (server.submit_batch, X)):
+            m = _fresh(MATRICES[i]) if fresh else MATRICES[i]
+            res = call(m, rhs)
+            assert res.fingerprint == FINGERPRINTS[i]
+            out.append(res.y.tobytes())
     return out
 
 
 def _drive(server: SpMVServer) -> Tuple[List[List[bytes]], List[int]]:
-    """Cold, warm, post-``invalidate``, post-``clear_cache`` rounds.
+    """Cold and warm rounds, then fresh-copy rounds: as they are, after
+    ``invalidate`` of a copy, of an original, and after ``clear_cache``.
 
     Returns the bytes of every result per phase and the plan-cache
     misses after each phase.
     """
     phases, misses = [], []
-    for phase in ("cold", "warm", "invalidate", "clear"):
-        if phase == "invalidate":
+    for phase in ("cold", "warm", "fresh", "invalidate_fresh",
+                  "invalidate", "clear"):
+        if phase == "invalidate_fresh":
+            server.invalidate(_fresh(MATRICES[2]))
+        elif phase == "invalidate":
             server.invalidate(MATRICES[1])
         elif phase == "clear":
             server.clear_cache()
-        phases.append(_round(server))
+        phases.append(_round(server, fresh=phase not in ("cold", "warm")))
         misses.append(_misses(server))
     return phases, misses
 
@@ -167,13 +189,13 @@ def test_policy_matrix(policies, sharding, plain_bytes):
     with _server(policies, sharding) as server:
         phases, misses = _drive(server)
         assert phases == plain_bytes
-        assert misses == [3 * k, 3 * k, 4 * k, 7 * k]
+        assert misses == [3 * k, 3 * k, 3 * k, 4 * k, 5 * k, 8 * k]
         m, (x, X) = MATRICES[0], INPUTS[0]
         with pytest.raises(ShapeError):
             server.submit(m, X[:, :1])
         with pytest.raises(ShapeError):
             server.submit_batch(m, x)
-        served = 4 * 2 * len(MATRICES)
+        served = 6 * 2 * len(MATRICES)
         _check_counters(server, policies, served + 2, served)
         if "learning" in policies:
             assert server.stats().learning.log_appended == served
@@ -190,31 +212,35 @@ HAMMER = {
 }
 
 
-def _hammer_inputs(thread: int) -> List[Tuple[int, np.ndarray]]:
-    """Thread ``thread``'s requests: ``(structure, vector-or-block)``."""
+def _hammer_inputs(thread: int) -> List[Tuple[int, np.ndarray, bool]]:
+    """Thread ``thread``'s requests: ``(structure, vector-or-block,
+    fresh)``; half of them carry a fresh copy of the structure."""
     rng = np.random.default_rng(1000 + thread)
     out = []
     for i in range(HAMMER_REQUESTS):
         s = (thread + i) % len(MATRICES)
         ncols = MATRICES[s].ncols
         out.append((s, rng.standard_normal(ncols) if i % 2 == 0
-                    else rng.standard_normal((ncols, K))))
+                    else rng.standard_normal((ncols, K)),
+                    (thread + i // 2) % 2 == 1))
     return out
 
 
-def _serve_one(server: SpMVServer, s: int, rhs: np.ndarray,
+def _serve_one(server: SpMVServer, s: int, rhs: np.ndarray, fresh: bool,
                tenant: str) -> bytes:
-    if rhs.ndim == 1:
-        return server.submit(MATRICES[s], rhs, tenant=tenant).y.tobytes()
-    return server.submit_batch(MATRICES[s], rhs, tenant=tenant).y.tobytes()
+    m = _fresh(MATRICES[s]) if fresh else MATRICES[s]
+    call = server.submit if rhs.ndim == 1 else server.submit_batch
+    res = call(m, rhs, tenant=tenant)
+    assert res.fingerprint == FINGERPRINTS[s]
+    return res.y.tobytes()
 
 
 @pytest.fixture(scope="module")
 def hammer_expected() -> Dict[int, List[bytes]]:
     with _server((), None) as server:
         return {
-            t: [_serve_one(server, s, rhs, "plain")
-                for s, rhs in _hammer_inputs(t)]
+            t: [_serve_one(server, s, rhs, fresh, "plain")
+                for s, rhs, fresh in _hammer_inputs(t)]
             for t in range(HAMMER_THREADS)
         }
 
@@ -225,8 +251,8 @@ def test_policy_hammer(name, hammer_expected):
     with _server(policies, sharding) as server:
         def client(thread: int) -> List[bytes]:
             tenant = f"t{thread % 2}"
-            return [_serve_one(server, s, rhs, tenant)
-                    for s, rhs in _hammer_inputs(thread)]
+            return [_serve_one(server, s, rhs, fresh, tenant)
+                    for s, rhs, fresh in _hammer_inputs(thread)]
 
         with ThreadPoolExecutor(HAMMER_THREADS) as pool:
             got = dict(enumerate(pool.map(client, range(HAMMER_THREADS))))
