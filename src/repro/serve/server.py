@@ -210,7 +210,7 @@ class ServerStats:
     scheduler: Optional[SchedulerStats] = None
     #: Sharding accounting; ``None`` without a ``sharding=`` policy.
     shards: Optional[ShardExecutorStats] = None
-    #: Fingerprint identity-cache accounting (hash-skip fast path).
+    #: Fingerprint-cache accounting (identity and structure tiers).
     fingerprints: Optional[FingerprintCacheStats] = None
     #: Admission accounting; ``None`` without an ``admission=`` policy.
     frontdoor: Optional[FrontDoorStats] = None
@@ -240,10 +240,12 @@ class ServerStats:
             f"simulated exec time: {self.simulated_seconds * 1e3:.3f} ms",
         ]
         if self.fingerprints is not None:
+            fps = self.fingerprints
             lines.append(
-                f"fingerprint cache  : {self.fingerprints.identity_hits} "
-                f"identity hits / {self.fingerprints.hashes} hashes "
-                f"(hit rate {self.fingerprints.hit_rate:.1%})"
+                f"fingerprint cache  : {fps.identity_hits} identity hits / "
+                f"{fps.structure_hits} structure hits / {fps.hashes} hashes "
+                f"(hit rate {fps.hit_rate:.1%}, {fps.structures} structures "
+                f"stored)"
             )
         for stage in ("fingerprint", "plan", "execute"):
             lines.append(
@@ -298,7 +300,9 @@ class SpMVServer:
         Execution device; defaults to the tuner's (or a fresh
         :class:`SimulatedDevice`).
     cache_capacity:
-        Bound on distinct sparsity patterns kept planned.
+        Bound on distinct sparsity patterns kept planned, and on the
+        structures whose index arrays the fingerprint cache keeps to
+        recognise fresh copies without hashing.
     max_rhs:
         Optional cap on columns per batched pass (wider submissions are
         column-blocked internally; still one request in the stats, but
@@ -420,9 +424,9 @@ class SpMVServer:
             self.device = SimulatedDevice(registry=self.registry)
         self.cache = PlanCache(capacity=cache_capacity,
                                registry=self.registry)
-        # Identity fast path: resubmitting the same matrix *object*
-        # (solver traffic) skips structural hashing entirely.
-        self._fingerprints = FingerprintCache()
+        # Resubmitting the same matrix *object* (solver traffic), or a
+        # fresh copy of a structure seen recently, skips hashing.
+        self._fingerprints = FingerprintCache(capacity=cache_capacity)
         #: The :class:`~repro.blackbox.Blackbox` behind a ``blackbox=``
         #: server; ``None`` otherwise.  Built before the front door and
         #: SLO monitors so their incident hooks can point at it; bound
@@ -617,9 +621,12 @@ class SpMVServer:
         Order matters: the coalescing scheduler drains first (pending
         groups flush through the direct batch path and their waiters
         get results), then the sharded executor's worker pool joins.
-        A closed server raises :class:`~repro.errors.DeviceError` on
-        further ``submit``/``submit_batch`` calls -- use-after-close is
-        a caller bug, mirroring :class:`~repro.device.cpu.CPUExecutor`.
+        Last, the fingerprint cache empties, so its stored index-array
+        copies are freed now rather than when the cyclic garbage
+        collector reaches the server.  A closed server raises
+        :class:`~repro.errors.DeviceError` on further
+        ``submit``/``submit_batch`` calls -- use-after-close is a caller
+        bug, mirroring :class:`~repro.device.cpu.CPUExecutor`.
         """
         if self._closed:
             return
@@ -630,6 +637,7 @@ class SpMVServer:
             self._sharded.close()
         if self.blackbox is not None:
             self.blackbox.close()
+        self._fingerprints.clear()
 
     @property
     def closed(self) -> bool:
@@ -1054,8 +1062,9 @@ class SpMVServer:
         derived from the pattern, or "invalidated" traffic keeps being
         served from stale state:
 
-        - the matrix's identity-cache entry, so the next submit of this
-          object re-hashes its (possibly rebuilt) structure instead of
+        - the matrix's fingerprint-cache entries -- its identity entry
+          and its structure's stored copy -- so the next submit of this
+          object, or of any copy of its structure, re-hashes instead of
           trusting the memoised fingerprint;
         - the plan-cache entry for the pattern;
         - when sharded: the sharded executor's (descriptors, plans)
@@ -1074,16 +1083,16 @@ class SpMVServer:
         return dropped
 
     def clear_cache(self) -> None:
-        """Drop every cached plan *and* cached identity (counters survive).
+        """Drop every cached plan *and* fingerprint (counters survive).
 
         Clears all three memoisation layers together: the plan cache,
-        the fingerprint identity cache (so every live matrix object
-        re-hashes on its next submit), and -- when sharded -- the shard
-        layer's shard sets, per-shard plans and backend blobs, with a
-        generation bump so process-backend workers rebind.  Leaving any
-        of them warm would make "clear" a lie: a post-clear submit must
-        behave exactly like a first request, except that results are of
-        course unchanged.
+        both fingerprint-cache tiers (so every matrix object, and every
+        fresh copy of a structure seen before, re-hashes on its next
+        submit), and -- when sharded -- the shard layer's shard sets,
+        per-shard plans and backend blobs, with a generation bump so
+        process-backend workers rebind.  Leaving any of them warm would
+        make "clear" a lie: a post-clear submit must behave exactly like
+        a first request, except that results are of course unchanged.
         """
         self.cache.clear()
         self._fingerprints.clear()

@@ -20,14 +20,10 @@ accounting, better wall clock" -- this module is the evidence:
   parent-side serial reference path;
 - wall clock: on hosts with real cores, sharded process execution
   undercuts the unsharded submit path's p50 latency;
-- fingerprint identity fast path: one structural hash for N submits of
-  the same matrix object, correct results after in-place value
-  mutation, rehash after explicit invalidation;
 - scheduler integration: coalesced multi-client traffic over the
   process backend stays correct and shares the fingerprint cache.
 """
 
-import gc
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -54,7 +50,7 @@ from repro.resilient import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from repro.serve import FingerprintCache, SpMVServer, fingerprint_matrix
+from repro.serve import SpMVServer, fingerprint_matrix
 from repro.serve.server import heuristic_planner
 from repro.shard import CoalescePolicy
 from repro.shard.backend import (
@@ -720,67 +716,6 @@ class TestTracePropagation:
             assert len(workers) == 2
             assert all(r.attrs["backend"] == "process" for r in workers)
             assert all(r.attrs["pid"] != os.getpid() for r in workers)
-
-
-# ---------------------------------------------------------------------------
-# Fingerprint identity fast path
-# ---------------------------------------------------------------------------
-
-
-class TestFingerprintIdentity:
-    def test_one_hash_for_repeated_identical_submits(self):
-        matrix = gen.power_law_graph(300, seed=0)
-        x = make_rhs(matrix, seed=0)
-        with SpMVServer(registry=NULL_REGISTRY) as server:
-            for _ in range(5):
-                server.submit(matrix, x)
-            stats = server.stats().fingerprints
-            assert stats.hashes == 1
-            assert stats.identity_hits == 4
-
-    def test_value_mutation_served_correctly_without_rehash(self):
-        matrix = gen.power_law_graph(300, seed=1)
-        x = make_rhs(matrix, seed=0)
-        with SpMVServer(registry=NULL_REGISTRY) as server:
-            y0 = server.submit(matrix, x).y
-            matrix.val[:] = matrix.val * 3.0
-            y1 = server.submit(matrix, x).y
-            assert np.allclose(y1, 3.0 * y0)
-            assert_matches_reference(y1, matrix, x)
-            # Structure did not change, so neither did the hash count.
-            assert server.stats().fingerprints.hashes == 1
-
-    def test_invalidate_forces_rehash(self):
-        matrix = gen.power_law_graph(300, seed=2)
-        x = make_rhs(matrix, seed=0)
-        with SpMVServer(registry=NULL_REGISTRY) as server:
-            server.submit(matrix, x)
-            server.invalidate(matrix)
-            server.submit(matrix, x)
-            stats = server.stats().fingerprints
-            assert stats.invalidations == 1
-            assert stats.hashes == 2
-
-    def test_identity_requires_the_same_arrays(self):
-        matrix = gen.power_law_graph(300, seed=3)
-        clone = type(matrix)(
-            matrix.rowptr.copy(), matrix.colidx.copy(),
-            matrix.val.copy(), matrix.shape,
-        )
-        cache = FingerprintCache()
-        fp_a = cache.fingerprint(matrix)
-        fp_b = cache.fingerprint(clone)
-        assert fp_a.digest == fp_b.digest
-        assert cache.stats().hashes == 2
-
-    def test_dead_matrices_are_evicted(self):
-        cache = FingerprintCache()
-        matrix = gen.power_law_graph(200, seed=4)
-        cache.fingerprint(matrix)
-        assert cache.stats().size == 1
-        del matrix
-        gc.collect()
-        assert cache.stats().size == 0
 
 
 # ---------------------------------------------------------------------------
