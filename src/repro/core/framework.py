@@ -9,14 +9,15 @@ This is the paper's Figure 3 put together:
   up to ~15 % for stage 2);
 - **predict (plan)**: extract the new matrix's features, consult stage
   1 for the scheme, bin the rows, consult stage 2 for each non-empty
-  bin's kernel;
+  bin's kernel, then bind the plan once -- the bound plan prices the
+  prediction, and the plan cache keeps it for the first execution;
 - **execute (run)**: launch the plan on the device, paying the binning
   overhead and one launch per non-empty bin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,12 +31,10 @@ from repro.core.training import (
 )
 from repro.core.tuning_space import TuningSpace
 from repro.device.executor import SimulatedDevice, SpMVResult
-from repro.device.memory import effective_gather_locality
 from repro.errors import NotFittedError, TrainingError
 from repro.features.extended import extract_extended_features
 from repro.features.extract import extract_features
 from repro.formats.csr import CSRMatrix
-from repro.kernels.registry import get_kernel
 from repro.ml.boosting import BoostedTreesClassifier
 from repro.ml.dataset import Dataset, train_test_split
 from repro.ml.metrics import error_rate
@@ -201,26 +200,13 @@ class AutoTuner:
                 b: self.space.kernel_names[int(k)]
                 for b, k in zip(non_empty, preds)
             }
-        plan = ExecutionPlan(
-            scheme=scheme,
-            binning=binning,
-            bin_kernels=bin_kernels,
-            predicted_seconds=self._plan_seconds(matrix, scheme, binning,
-                                                 bin_kernels),
-            source="predicted",
-        )
-        return plan
-
-    def _plan_seconds(self, matrix, scheme, binning, bin_kernels) -> float:
-        spec = self.device.spec
-        g = effective_gather_locality(matrix, spec)
-        lengths = matrix.row_lengths()
-        total = scheme.overhead_seconds(matrix, spec)
-        for b, rows in binning.non_empty():
-            total += self.device.time_dispatch(
-                get_kernel(bin_kernels[b]), lengths[rows], g
-            )
-        return float(total)
+        plan = ExecutionPlan(scheme=scheme, binning=binning,
+                             bin_kernels=bin_kernels, source="predicted")
+        # Binding is the one pricing: the prediction is read from the
+        # bound plan, which rides along for the plan cache to keep.
+        bound = plan.bind(self.device, matrix)
+        return replace(plan, predicted_seconds=bound.predicted_seconds(),
+                       bound=bound)
 
     def oracle_plan(self, matrix: CSRMatrix) -> ExecutionPlan:
         """Exhaustive-search plan (no classifier involved)."""
@@ -236,9 +222,13 @@ class AutoTuner:
         *,
         plan: Optional[ExecutionPlan] = None,
     ) -> SpMVResult:
-        """Plan (unless given) and execute the binned SpMV."""
+        """Plan (unless given) and execute the binned SpMV.
+
+        A plan made here runs as it was bound for its prediction; a
+        given plan binds for ``matrix``.
+        """
         if plan is None:
-            plan = self.plan(matrix)
+            return self.device.run_spmv(matrix, v, self.plan(matrix).bound)
         return run_plan_spmv(self.device, matrix, v, plan)
 
     def evaluate_strategies(self, matrix: CSRMatrix):

@@ -7,7 +7,7 @@ SpMV step consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.binning.base import BinningResult, BinningScheme
@@ -34,6 +34,14 @@ class ExecutionPlan:
     #: Where the plan came from: ``"predicted"`` (classifier) or
     #: ``"oracle"`` (exhaustive search).
     source: str = "predicted"
+    #: This plan bound for the structure its planner saw, when the
+    #: planner priced it by binding (the tuner does; ``predicted_seconds``
+    #: is read from it), else ``None``.  Only
+    #: :meth:`~repro.serve.plan_cache.PlanCache.get_or_build` reuses it,
+    #: under the fingerprint it planned; :meth:`bind` always binds
+    #: afresh, since a bound plan checks size, not structure.
+    bound: Optional[BoundPlan] = field(default=None, compare=False,
+                                       repr=False)
 
     def __post_init__(self) -> None:
         non_empty = {b for b, _ in self.binning.non_empty()}

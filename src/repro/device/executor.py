@@ -144,6 +144,19 @@ class BoundPlan:
             self._times[n_rhs] = times
         return times
 
+    def predicted_seconds(self) -> float:
+        """Simulated seconds of one single-RHS run, as a planner predicts.
+
+        Summed overhead first, then ``dispatch + launch`` per launch --
+        the planner's order, which :meth:`SimulatedDevice.run` (one
+        ``sum`` per pass) does not share bit for bit.
+        """
+        launch = self.spec.seconds(self.spec.kernel_launch_cycles)
+        total = self.overhead
+        for t in self.pass_times(1):
+            total += t + launch
+        return float(total)
+
     def binds(self, matrix: CSRMatrix, spec: DeviceSpec) -> bool:
         """True when this plan was bound for ``matrix``'s size on ``spec``."""
         return (matrix.nrows == self.nrows and matrix.nnz == self.nnz
@@ -199,18 +212,14 @@ class SimulatedDevice:
         locality: float,
         *,
         include_launch: bool = True,
-        n_rhs: int = 1,
     ) -> float:
         """Simulated seconds for one kernel launch over the given rows.
 
-        ``n_rhs > 1`` accounts a batched (multi-RHS) launch: bandwidth
-        and instruction terms scale with the batch width while the
-        launch overhead stays fixed (see :func:`_scale_stats_for_rhs`).
+        Prices a candidate kernel on a row set; a chosen plan is priced
+        by :meth:`bind`.
         """
-        stats = _scale_stats_for_rhs(
-            kernel.cost(row_lengths, locality, self.spec), n_rhs
-        )
-        t = dispatch_seconds(stats, self.spec)
+        t = dispatch_seconds(kernel.cost(row_lengths, locality, self.spec),
+                             self.spec)
         if include_launch and len(np.atleast_1d(row_lengths)) > 0:
             t += self.spec.seconds(self.spec.kernel_launch_cycles)
         return t
