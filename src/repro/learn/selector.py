@@ -34,10 +34,9 @@ Design constraints, in order:
    forever.
 
 Priors come from the repo's analytical cost model: each candidate
-arm's plan is profiled once per key via
-:class:`~repro.trace.profiler.KernelProfiler` (memoized -- see the
-profiler's dispatch memo), so seeding an arm table costs the model
-once, not per decision.
+arm's plan is profiled via :class:`~repro.trace.profiler.KernelProfiler`
+once per key, when the key is first seen, so seeding an arm table costs
+the model once, not per decision.
 """
 
 from __future__ import annotations
@@ -546,8 +545,7 @@ class OnlineSelector:
         The tree arm's prior is the base plan's own predicted cost
         (falling back to profiling the plan); each candidate arm's
         prior is the analytical cost of its override plan on the first
-        matrix seen for this key.  The profiler memoizes per-dispatch,
-        so re-seeding structurally identical traffic is cheap.
+        matrix seen for this key.  A seeded key is never seeded again.
         """
         if (key, TREE_ARM_NAME) in self._priors:
             return

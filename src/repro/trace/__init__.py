@@ -24,12 +24,7 @@ adds no work (the same design as ``NULL_REGISTRY``).
 """
 
 from repro.trace.context import TraceContext, capture_context, reset_ids
-from repro.trace.profiler import (
-    DispatchProfile,
-    KernelProfiler,
-    ProfileReport,
-    ProfilerMemoStats,
-)
+from repro.trace.profiler import DispatchProfile, KernelProfiler, ProfileReport
 from repro.trace.quantiles import SlidingQuantiles
 from repro.trace.recorder import SpanRecord, TraceRecorder
 from repro.trace.slo import SLOMonitor, SLOTarget, TracingPolicy
@@ -42,7 +37,6 @@ __all__ = [
     "SpanRecord",
     "KernelProfiler",
     "ProfileReport",
-    "ProfilerMemoStats",
     "DispatchProfile",
     "SlidingQuantiles",
     "SLOMonitor",

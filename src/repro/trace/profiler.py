@@ -28,9 +28,6 @@ serving stack -- so it can profile plans without pulling in threads.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,25 +42,7 @@ from repro.formats.csr import CSRMatrix
 from repro.kernels.base import ROW_OVERHEAD_INSTR
 from repro.kernels.registry import DEFAULT_KERNEL_NAMES, get_kernel
 
-__all__ = [
-    "DispatchProfile", "ProfileReport", "ProfilerMemoStats",
-    "KernelProfiler",
-]
-
-
-@dataclass(frozen=True)
-class ProfilerMemoStats:
-    """Accounting of the profiler's dispatch memo."""
-
-    hits: int
-    misses: int
-    size: int
-    capacity: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+__all__ = ["DispatchProfile", "ProfileReport", "KernelProfiler"]
 
 
 @dataclass(frozen=True)
@@ -188,35 +167,13 @@ class ProfileReport:
 class KernelProfiler:
     """Evaluates the analytical cost model into dispatch profiles.
 
-    Dispatch results are memoized: the cost model is a pure function of
-    (row lengths, gather locality, device spec, kernel), so profiling
-    the same (plan, shape) twice -- the online selector seeding arm
-    priors per decision, repeated ``profile_plan`` calls on cached
-    plans -- returns the first evaluation instead of re-running the
-    model.  The memo is a small LRU (``memo_capacity`` entries, 0
-    disables) keyed by a digest of the dispatch's row-length vector
-    plus its labels; :meth:`memo_stats` exposes the accounting.
+    Every call re-runs the model: its callers profile each key once
+    (the online selector once per feature bucket, a sweep once per
+    (U, bin, kernel), the CLI once per command).
     """
 
-    def __init__(
-        self, spec: Optional[DeviceSpec] = None, *, memo_capacity: int = 512
-    ):
+    def __init__(self, spec: Optional[DeviceSpec] = None):
         self.spec = DeviceSpec.kaveri_apu() if spec is None else spec
-        self.memo_capacity = int(memo_capacity)
-        self._memo: "OrderedDict[Tuple, DispatchProfile]" = OrderedDict()
-        self._memo_lock = threading.Lock()
-        self._memo_hits = 0
-        self._memo_misses = 0
-
-    def memo_stats(self) -> ProfilerMemoStats:
-        """Point-in-time accounting of the dispatch memo."""
-        with self._memo_lock:
-            return ProfilerMemoStats(
-                hits=self._memo_hits,
-                misses=self._memo_misses,
-                size=len(self._memo),
-                capacity=self.memo_capacity,
-            )
 
     # -- single dispatches ----------------------------------------------
     def profile_dispatch(
@@ -234,29 +191,6 @@ class KernelProfiler:
         kernel = get_kernel(kernel_name)
         row_lengths = matrix.row_lengths()[np.asarray(rows, dtype=np.int64)]
         loc = gather_locality(matrix) if locality is None else locality
-        memo_key: Optional[Tuple] = None
-        if self.memo_capacity > 0:
-            # Everything the result depends on: the row-length vector
-            # (hashed -- far cheaper than the model it short-circuits),
-            # the locality, the kernel, and the labels stamped onto the
-            # returned profile.  The spec is fixed per profiler.
-            memo_key = (
-                kernel.name,
-                int(granularity),
-                int(bin_id),
-                float(loc),
-                hashlib.blake2b(
-                    np.ascontiguousarray(row_lengths).tobytes(),
-                    digest_size=16,
-                ).digest(),
-            )
-            with self._memo_lock:
-                cached = self._memo.get(memo_key)
-                if cached is not None:
-                    self._memo.move_to_end(memo_key)
-                    self._memo_hits += 1
-                    return cached
-                self._memo_misses += 1
         stats = kernel.cost(row_lengths, loc, spec)
         bd = dispatch_breakdown(stats, spec)
 
@@ -290,7 +224,7 @@ class KernelProfiler:
         ceiling = min(peak_flops, bw_flops)
         efficiency = min(1.0, achieved / ceiling) if ceiling > 0 else 0.0
 
-        profile = DispatchProfile(
+        return DispatchProfile(
             granularity=int(granularity),
             bin_id=int(bin_id),
             kernel=kernel.name,
@@ -309,13 +243,6 @@ class KernelProfiler:
             roofline_efficiency=float(efficiency),
             gflops=float(achieved / 1e9),
         )
-        if memo_key is not None:
-            with self._memo_lock:
-                self._memo[memo_key] = profile
-                self._memo.move_to_end(memo_key)
-                while len(self._memo) > self.memo_capacity:
-                    self._memo.popitem(last=False)
-        return profile
 
     # -- whole plans -----------------------------------------------------
     def profile_plan(

@@ -5,9 +5,8 @@ bit-identity property (the learned server must be indistinguishable
 from the static-tree server across every execution backend), the
 exploration budget caps, fault penalties/quarantine, the bounded
 decision log and its deterministic replay digest, the retrain/hot-swap
-pipeline, the profiler dispatch memo that makes prior seeding cheap,
-and the deadline gate that keeps exploration off latency-bound
-requests.
+pipeline, and the deadline gate that keeps exploration off
+latency-bound requests.
 """
 
 import io
@@ -36,7 +35,7 @@ from repro.serve.frontdoor import AdmissionTicket, FrontDoor
 from repro.serve.server import heuristic_planner
 from repro.shard.executor import ShardingPolicy
 from repro.shard.scheduler import CoalescePolicy
-from repro.trace import KernelProfiler, SLOTarget, TracingPolicy
+from repro.trace import SLOTarget, TracingPolicy
 
 pytestmark = pytest.mark.learn
 
@@ -673,53 +672,6 @@ class TestRetrain:
         r = server.submit(m, np.ones(m.ncols))
         np.testing.assert_allclose(r.y, m.to_dense() @ np.ones(m.ncols),
                                    rtol=1e-10)
-
-
-# ----------------------------------------------------------------------
-# Profiler dispatch memo (prior seeding must be cheap)
-# ----------------------------------------------------------------------
-class TestProfilerMemo:
-    def test_repeat_profile_hits_memo_with_identical_results(self):
-        profiler = KernelProfiler()
-        m = _matrix(22)
-        plan = heuristic_planner(m)
-        first = profiler.profile_plan(m, plan)
-        before = profiler.memo_stats()
-        assert before.misses == len(first) and before.hits == 0
-        second = profiler.profile_plan(m, plan)
-        after = profiler.memo_stats()
-        assert after.hits == len(first)
-        assert after.misses == before.misses  # nothing recomputed
-        assert 0.0 < after.hit_rate < 1.0
-        for a, b in zip(first.rows, second.rows):
-            assert a == b  # dataclass equality: every field identical
-
-    def test_memo_is_keyed_not_global(self):
-        profiler = KernelProfiler()
-        a, b = _matrix(23, nrows=200), _matrix(24, nrows=400)
-        profiler.profile_plan(a, heuristic_planner(a))
-        misses = profiler.memo_stats().misses
-        profiler.profile_plan(b, heuristic_planner(b))
-        assert profiler.memo_stats().misses > misses  # new work, no hit
-
-    def test_lru_eviction_respects_capacity(self):
-        profiler = KernelProfiler(memo_capacity=2)
-        m = _matrix(25)
-        rows = np.arange(m.nrows)
-        for bin_id in range(5):
-            profiler.profile_dispatch(m, "serial", rows, bin_id=bin_id)
-        stats = profiler.memo_stats()
-        assert stats.size == 2 and stats.misses == 5
-
-    def test_capacity_zero_disables_memo(self):
-        profiler = KernelProfiler(memo_capacity=0)
-        m = _matrix(26)
-        plan = heuristic_planner(m)
-        profiler.profile_plan(m, plan)
-        profiler.profile_plan(m, plan)
-        stats = profiler.memo_stats()
-        assert stats.hits == 0 and stats.misses == 0 and stats.size == 0
-        assert stats.hit_rate == 0.0
 
 
 # ----------------------------------------------------------------------
