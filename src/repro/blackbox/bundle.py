@@ -5,7 +5,8 @@ text -- so it can be tarred off a box, attached to an incident ticket
 and read without this package installed:
 
 - ``manifest.json``  -- schema version, trigger reason + detail,
-  trigger history, server configuration (written **last**: a bundle
+  trigger history (and how many older entries it displaced), server
+  configuration (written **last**: a bundle
   without a manifest is a partial write and the loader says so);
 - ``metrics.json`` / ``metrics.prom`` -- full registry snapshot in
   both export formats (the ``.prom`` text carries exemplars);

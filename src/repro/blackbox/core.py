@@ -121,6 +121,9 @@ class BlackboxStats:
     bundle_errors: int = 0
     #: Path of the newest bundle, when any was written.
     last_bundle: Optional[str] = None
+    #: Trigger-history entries displaced by newer ones (the history
+    #: keeps the latest 64).
+    history_dropped: int = 0
 
     def describe(self) -> str:
         """Readable summary (CLI / logs)."""
@@ -132,7 +135,9 @@ class BlackboxStats:
             f"{self.flight.capacity} requests retained "
             f"({self.flight.recorded} recorded, {self.flight.dropped} "
             f"displaced)",
-            f"triggers           : {fired}",
+            f"triggers           : {fired}"
+            + (f" ({self.history_dropped} oldest displaced from history)"
+               if self.history_dropped else ""),
             f"debug bundles      : {self.bundles_written} written, "
             f"{self.bundles_suppressed} rate-limited"
             + (f", {self.bundle_errors} failed" if self.bundle_errors
@@ -181,6 +186,7 @@ class Blackbox:
         self._last_bundle: Optional[str] = None
         self._bundle_seq = 0
         self._history: "deque[Dict[str, Any]]" = deque(maxlen=64)
+        self._history_dropped = 0
         self._sheds: "deque[float]" = deque()
         # Breach triggers parked until the offending request lands in
         # the flight ring (see on_slo_breach); thread-local because the
@@ -348,7 +354,7 @@ class Blackbox:
                 self._trigger_counts.get(reason, 0) + 1
             )
             if self.policy.bundle_dir is None:
-                self._history.append({
+                self._remember({
                     "at": now, "reason": reason, "action": "recorded",
                     "detail": detail,
                 })
@@ -360,7 +366,7 @@ class Blackbox:
             )
             if limited:
                 self._bundles_suppressed += 1
-                self._history.append({
+                self._remember({
                     "at": now, "reason": reason, "action": "suppressed",
                     "detail": detail,
                 })
@@ -370,7 +376,7 @@ class Blackbox:
                 self._last_bundle_at = now
                 self._bundle_seq += 1
                 seq = self._bundle_seq
-                self._history.append({
+                self._remember({
                     "at": now, "reason": reason, "action": "bundle",
                     "detail": detail,
                 })
@@ -389,7 +395,7 @@ class Blackbox:
             # Forensics must never fail the request being served.
             with self._lock:
                 self._bundle_errors += 1
-                self._history.append({
+                self._remember({
                     "at": now, "reason": reason, "action": "error",
                     "detail": {"error": f"{type(exc).__name__}: {exc}"},
                 })
@@ -400,6 +406,13 @@ class Blackbox:
             self._last_bundle = str(path)
         self._m_written.inc()
         return path
+
+    def _remember(self, entry: Dict[str, Any]) -> None:
+        """Append to the trigger history, counting what it displaces
+        (lock held)."""
+        if len(self._history) == self._history.maxlen:
+            self._history_dropped += 1
+        self._history.append(entry)
 
     # -- snapshotting ----------------------------------------------------
     def _snapshot(
@@ -435,13 +448,17 @@ class Blackbox:
                 server_doc, indent=2, sort_keys=True,
                 default=_json_default,
             )
+        with self._lock:
+            history_dropped = self._history_dropped
+            history = [dict(entry) for entry in self._history]
         manifest = {
             "schema": BUNDLE_SCHEMA,
             "seq": seq,
             "reason": reason,
             "detail": detail,
             "triggered_at": at,
-            "trigger_history": self.trigger_history(),
+            "trigger_history": history,
+            "trigger_history_dropped": history_dropped,
             "config": config,
             "flight": asdict(self.flight.stats()),
             "files": sorted(files) + [MANIFEST_NAME],
@@ -491,4 +508,5 @@ class Blackbox:
                 bundles_suppressed=self._bundles_suppressed,
                 bundle_errors=self._bundle_errors,
                 last_bundle=self._last_bundle,
+                history_dropped=self._history_dropped,
             )

@@ -60,7 +60,10 @@ def _trigger_section(bundle: DebugBundle) -> List[str]:
     ]
     history = manifest.get("trigger_history") or []
     if history:
-        lines.append(f"trigger timeline ({len(history)} entries):")
+        dropped = manifest.get("trigger_history_dropped") or 0
+        lines.append(f"trigger timeline ({len(history)} entries"
+                     + (f", {dropped} older displaced" if dropped else "")
+                     + "):")
         for entry in history:
             lines.append(
                 f"  t={entry.get('at', '?'):<12} "

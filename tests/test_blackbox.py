@@ -42,7 +42,6 @@ from repro.blackbox import (
 )
 from repro.cli import main
 from repro.formats import CSRMatrix
-from repro.matrices import generators as gen
 from repro.observe import (
     MetricsRegistry,
     RecordingSink,
@@ -310,6 +309,31 @@ class TestTriggers:
         assert recorder.stats().triggers == {"slo_breach": 1}
         assert recorder.trigger_history()[0]["action"] == "recorded"
         assert list(tmp_path.iterdir()) == []         # nothing written
+
+    def test_trigger_history_counts_what_it_displaces(self, tmp_path):
+        clock = FakeClock()
+        recorder = Blackbox(                          # no bundle_dir
+            BlackboxPolicy(clock=clock), registry=MetricsRegistry()
+        )
+        assert "displaced from history" not in recorder.stats().describe()
+        for i in range(70):
+            clock.advance(1.0)
+            recorder.trigger("slo_breach", detail={"i": i})
+        history = recorder.trigger_history()
+        stats = recorder.stats()
+        assert len(history) == 64 and stats.history_dropped == 6
+        assert history[0]["detail"] == {"i": 6}
+        assert "6 oldest displaced from history" in stats.describe()
+        bundled = self._blackbox(tmp_path, clock)
+        for _ in range(65):
+            clock.advance(1.0)
+            bundled.trigger("slo_breach")
+        clock.advance(60.0)
+        path = bundled.trigger("breaker_open")
+        bundle = load_bundle(path)
+        assert len(bundle.manifest["trigger_history"]) == 64
+        assert bundle.manifest["trigger_history_dropped"] == 2
+        assert "(64 entries, 2 older displaced)" in render_report(bundle)
 
     def test_concurrent_trigger_storm_writes_exactly_one(self, tmp_path):
         clock = FakeClock()
