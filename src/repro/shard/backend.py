@@ -857,32 +857,34 @@ class ProcessShardBackend:
         pool = self._ensure_pool()
         trace_id, parent_span_id = trace_ref
         with self.store.lease(digest, matrix) as handle:
-            if kill_first or self.kill_all:
-                # Chaos path: per-request kill flags make the specs
-                # uncacheable, so they travel uncompressed.
-                specs = self._specs(
-                    digest, descriptors, plans, trace_ref,
-                    kill_first=kill_first,
-                )
-                futures = [
-                    pool.submit(
-                        _worker_run, handle, self.device_spec, group,
-                        rhs, max_rhs,
-                    )
-                    for group in _chunk(specs, self.n_workers)
-                ]
-            else:
-                futures = [
-                    pool.submit(
-                        _worker_run, handle, self.device_spec, None,
-                        rhs, max_rhs, blob, blob_key,
-                        trace_id, parent_span_id,
-                    )
-                    for blob_key, blob in self._group_blobs(
-                        digest, descriptors, plans
-                    )
-                ]
+            # A worker that dies before the last group is submitted
+            # breaks the pool under ``submit`` itself: the same crash.
             try:
+                if kill_first or self.kill_all:
+                    # Chaos path: per-request kill flags make the specs
+                    # uncacheable, so they travel uncompressed.
+                    specs = self._specs(
+                        digest, descriptors, plans, trace_ref,
+                        kill_first=kill_first,
+                    )
+                    futures = [
+                        pool.submit(
+                            _worker_run, handle, self.device_spec, group,
+                            rhs, max_rhs,
+                        )
+                        for group in _chunk(specs, self.n_workers)
+                    ]
+                else:
+                    futures = [
+                        pool.submit(
+                            _worker_run, handle, self.device_spec, None,
+                            rhs, max_rhs, blob, blob_key,
+                            trace_id, parent_span_id,
+                        )
+                        for blob_key, blob in self._group_blobs(
+                            digest, descriptors, plans
+                        )
+                    ]
                 reports = [r for f in futures for r in f.result()]
             except BrokenProcessPool as exc:
                 raise self._handle_crash(exc) from exc
@@ -903,12 +905,11 @@ class ProcessShardBackend:
         specs = self._specs(digest, [descriptor], [plan], trace_ref)
         pool = self._ensure_pool()
         with self.store.lease(digest, matrix) as handle:
-            future = pool.submit(
-                _worker_run, handle, self.device_spec, tuple(specs),
-                rhs, max_rhs,
-            )
             try:
-                return future.result()[0]
+                return pool.submit(
+                    _worker_run, handle, self.device_spec, tuple(specs),
+                    rhs, max_rhs,
+                ).result()[0]
             except BrokenProcessPool as exc:
                 raise self._handle_crash(exc) from exc
 

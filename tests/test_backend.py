@@ -27,6 +27,7 @@ accounting, better wall clock" -- this module is the evidence:
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -515,6 +516,33 @@ class TestCrashSafety:
             # The healed pool served the retry remotely: no degradation.
             assert res.degraded_shards == ()
             assert ex.backend.restarts >= 1
+
+    def test_pool_broken_under_submit_is_a_worker_crash(self, monkeypatch):
+        """A worker can die before the request's later groups are
+        submitted; ``submit`` then raises, and that is the same crash."""
+        matrix = gen.power_law_graph(500, seed=0)
+        x = make_rhs(matrix, seed=0)
+        with ShardedExecutor(
+            policy=ShardingPolicy(n_shards=3, backend="process",
+                                  process_workers=2),
+            registry=NULL_REGISTRY,
+        ) as ex:
+            ex.run_spmv(matrix, x)
+            pool = ex.backend._ensure_pool()
+            submitted = []
+
+            def submit(*args, **kwargs):
+                submitted.append(args[0])
+                if len(submitted) == 2:
+                    raise BrokenProcessPool("worker died before this submit")
+                return type(pool).submit(pool, *args, **kwargs)
+
+            monkeypatch.setattr(pool, "submit", submit)
+            res = ex.run_spmv(matrix, x)
+            assert len(submitted) >= 2
+            assert_matches_reference(res.y, matrix, x)
+            assert res.degraded_shards == ()
+            assert ex.backend.restarts == 1
 
     def test_seeded_kill_with_resilience_zero_incorrect_results(self):
         matrix = gen.power_law_graph(500, seed=1)
