@@ -15,6 +15,8 @@ sleeps, zero wall-clock assertions:
   filtered / record-only, concurrent-trigger exactly-one-bundle, and
   the deferred SLO-breach flush that puts the offending request into
   its own bundle's flight tail;
+- bundle contents: ``flight.jsonl``, ``decisions.jsonl`` and the
+  manifest's ring counts equal what the recorders report;
 - bundle lifecycle: manifest-last partial detection, corrupt files ->
   readable :class:`~repro.blackbox.BundleError` (never a traceback),
   oldest-first pruning;
@@ -25,6 +27,7 @@ sleeps, zero wall-clock assertions:
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from repro.blackbox import (
 )
 from repro.cli import main
 from repro.formats import CSRMatrix
+from repro.learn import LearningPolicy
 from repro.observe import (
     MetricsRegistry,
     RecordingSink,
@@ -409,6 +413,66 @@ class TestTriggers:
         stats = bb.stats()
         assert stats.bundle_errors == 1 and stats.bundles_written == 0
         assert bb.trigger_history()[-1]["action"] == "error"
+
+
+# ----------------------------------------------------------------------
+# Bundle contents vs the recorders they snapshot
+# ----------------------------------------------------------------------
+def _json_default(obj):
+    """The bundle writer's fallback: numbers as floats, else strings."""
+    try:
+        return float(obj)
+    except (TypeError, ValueError):
+        return str(obj)
+
+
+def _render_jsonl(rows, **dumps_kwargs):
+    """One ``json.dumps(row.as_dict())`` line per row, oldest first."""
+    return "".join(
+        json.dumps(r.as_dict(), **dumps_kwargs) + "\n" for r in rows
+    )
+
+
+class TestBundleRendering:
+    def test_bundle_files_equal_recorder_snapshots(self, tmp_path):
+        clock = FakeClock()
+        policy = BlackboxPolicy(
+            bundle_dir=str(tmp_path), clock=clock, flight_capacity=16,
+            flight_tail=5, decision_tail=3,
+        )
+        server = SpMVServer(
+            registry=MetricsRegistry(), blackbox=policy,
+            learning=LearningPolicy(epsilon=0.5, log_capacity=8),
+        )
+        try:
+            for i in range(20):
+                m = _matrix(seed=i % 3)
+                server.submit(m, np.ones(m.ncols))
+            bb, log = server.blackbox, server.selector.log
+            for i in range(70):        # one bundle, then 69 rate-limited
+                bb.trigger("shed_spike", detail={"i": i})
+            clock.advance(60.0)
+            path = bb.trigger("breaker_open")
+            assert path is not None
+
+            flight = bb.flight.stats()
+            assert (flight.recorded, flight.dropped, flight.size) == (
+                20, 4, 16)
+            assert log.stats().dropped == 12
+            assert (path / "flight.jsonl").read_text() == _render_jsonl(
+                bb.flight.tail(5), default=_json_default)
+            assert (path / "decisions.jsonl").read_text() == _render_jsonl(
+                log.tail(3), default=_json_default)
+            manifest = json.loads((path / "manifest.json").read_text())
+            history = bb.trigger_history()
+            assert len(history) == 64
+            assert manifest["flight"] == asdict(flight)
+            assert manifest["trigger_history"] == history
+            assert manifest["trigger_history_dropped"] == 7
+            assert bb.stats().history_dropped == 7
+            assert log.to_jsonl() == _render_jsonl(log.records())
+        finally:
+            server.close()
 
 
 # ----------------------------------------------------------------------
