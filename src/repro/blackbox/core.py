@@ -41,6 +41,7 @@ from repro.blackbox.bundle import BUNDLE_SCHEMA, MANIFEST_NAME, write_bundle
 from repro.blackbox.flight import FlightRecorder, FlightRecorderStats
 from repro.observe.export import to_json, to_prometheus_text
 from repro.observe.registry import MetricsRegistry, get_registry
+from repro.observe.ring import BoundedRing
 
 __all__ = ["BlackboxPolicy", "Blackbox", "BlackboxStats", "TRIGGER_REASONS"]
 
@@ -185,8 +186,7 @@ class Blackbox:
         self._bundle_errors = 0
         self._last_bundle: Optional[str] = None
         self._bundle_seq = 0
-        self._history: "deque[Dict[str, Any]]" = deque(maxlen=64)
-        self._history_dropped = 0
+        self._history: BoundedRing[Dict[str, Any]] = BoundedRing(64)
         self._sheds: "deque[float]" = deque()
         # Breach triggers parked until the offending request lands in
         # the flight ring (see on_slo_breach); thread-local because the
@@ -354,7 +354,7 @@ class Blackbox:
                 self._trigger_counts.get(reason, 0) + 1
             )
             if self.policy.bundle_dir is None:
-                self._remember({
+                self._history.append({
                     "at": now, "reason": reason, "action": "recorded",
                     "detail": detail,
                 })
@@ -366,7 +366,7 @@ class Blackbox:
             )
             if limited:
                 self._bundles_suppressed += 1
-                self._remember({
+                self._history.append({
                     "at": now, "reason": reason, "action": "suppressed",
                     "detail": detail,
                 })
@@ -376,7 +376,7 @@ class Blackbox:
                 self._last_bundle_at = now
                 self._bundle_seq += 1
                 seq = self._bundle_seq
-                self._remember({
+                self._history.append({
                     "at": now, "reason": reason, "action": "bundle",
                     "detail": detail,
                 })
@@ -395,7 +395,7 @@ class Blackbox:
             # Forensics must never fail the request being served.
             with self._lock:
                 self._bundle_errors += 1
-                self._remember({
+                self._history.append({
                     "at": now, "reason": reason, "action": "error",
                     "detail": {"error": f"{type(exc).__name__}: {exc}"},
                 })
@@ -407,13 +407,6 @@ class Blackbox:
         self._m_written.inc()
         return path
 
-    def _remember(self, entry: Dict[str, Any]) -> None:
-        """Append to the trigger history, counting what it displaces
-        (lock held)."""
-        if len(self._history) == self._history.maxlen:
-            self._history_dropped += 1
-        self._history.append(entry)
-
     # -- snapshotting ----------------------------------------------------
     def _snapshot(
         self, reason: str, detail: Dict[str, Any], *, seq: int, at: float
@@ -423,9 +416,8 @@ class Blackbox:
         files: Dict[str, str] = {}
         files["metrics.json"] = to_json(self.registry, indent=2)
         files["metrics.prom"] = to_prometheus_text(self.registry)
-        files["flight.jsonl"] = "".join(
-            json.dumps(r.as_dict(), default=_json_default) + "\n"
-            for r in self.flight.tail(self.policy.flight_tail)
+        files["flight.jsonl"] = self.flight.to_jsonl(
+            self.policy.flight_tail, default=_json_default
         )
         config: Dict[str, Any] = {}
         if server is not None:
@@ -435,9 +427,8 @@ class Blackbox:
                 files["trace.json"] = recorder.chrome_trace_json()
             selector = getattr(server, "selector", None)
             if selector is not None:
-                files["decisions.jsonl"] = "".join(
-                    json.dumps(r.as_dict(), default=_json_default) + "\n"
-                    for r in selector.log.tail(self.policy.decision_tail)
+                files["decisions.jsonl"] = selector.log.to_jsonl(
+                    self.policy.decision_tail, default=_json_default
                 )
             server_doc: Dict[str, Any] = {
                 "stats": asdict(server.stats()),
@@ -448,9 +439,9 @@ class Blackbox:
                 server_doc, indent=2, sort_keys=True,
                 default=_json_default,
             )
-        with self._lock:
-            history_dropped = self._history_dropped
-            history = [dict(entry) for entry in self._history]
+        with self._lock:  # history appends hold it: rows and count agree
+            history_dropped = self._history.dropped
+            history = self._history.records()
         manifest = {
             "schema": BUNDLE_SCHEMA,
             "seq": seq,
@@ -496,8 +487,7 @@ class Blackbox:
     # -- reporting -------------------------------------------------------
     def trigger_history(self) -> List[Dict[str, Any]]:
         """The retained trigger history, oldest first (a copy)."""
-        with self._lock:
-            return [dict(entry) for entry in self._history]
+        return [dict(entry) for entry in self._history.records()]
 
     def stats(self) -> BlackboxStats:
         with self._lock:
@@ -508,5 +498,5 @@ class Blackbox:
                 bundles_suppressed=self._bundles_suppressed,
                 bundle_errors=self._bundle_errors,
                 last_bundle=self._last_bundle,
-                history_dropped=self._history_dropped,
+                history_dropped=self._history.dropped,
             )

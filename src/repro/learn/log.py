@@ -8,10 +8,11 @@ training set for :func:`~repro.learn.retrain.retrain` -- the C5.0 tree
 regenerated from *live* traffic instead of the offline corpus -- and
 the audit trail for "why did the server pick that kernel".
 
-Bounded means bounded: the log is a ring of ``capacity`` records and
+Bounded means bounded: the log is a
+:class:`~repro.observe.ring.BoundedRing` of ``capacity`` records and
 old decisions fall off the front (counted, never silently).  Export is
-JSONL -- one decision per line, stable key order -- so logs from long
-runs stream instead of ballooning one JSON document.
+the ring's JSONL -- one decision per line, stable key order -- so logs
+from long runs stream instead of ballooning one JSON document.
 
 Wall latency is the one nondeterministic field; :meth:`replay_digest`
 therefore hashes only the deterministic fields, which is what the
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import deque
 from dataclasses import dataclass
-from typing import IO, Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple
+
+from repro.observe.ring import BoundedRing
 
 __all__ = ["DecisionRecord", "DecisionLog", "DecisionLogStats"]
 
@@ -90,7 +91,7 @@ class DecisionLogStats:
     capacity: int
 
 
-class DecisionLog:
+class DecisionLog(BoundedRing[DecisionRecord]):
     """Thread-safe bounded ring of :class:`DecisionRecord`.
 
     Append-only from the caller's point of view: records are never
@@ -100,74 +101,17 @@ class DecisionLog:
     """
 
     def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        self.capacity = int(capacity)
-        self._records: deque = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
-        self._appended = 0
-
-    def append(self, record: DecisionRecord) -> None:
-        """Append one decision (oldest record falls off when full)."""
-        with self._lock:
-            self._records.append(record)
-            self._appended += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def records(self) -> Tuple[DecisionRecord, ...]:
-        """Immutable snapshot, oldest first."""
-        with self._lock:
-            return tuple(self._records)
-
-    def tail(self, n: int) -> Tuple[DecisionRecord, ...]:
-        """The newest ``n`` retained records, oldest first.
-
-        Debug bundles snapshot this instead of :meth:`records` -- an
-        incident wants the recent decisions, not the whole ring.
-        """
-        if n <= 0:
-            return ()
-        with self._lock:
-            records = tuple(self._records)
-        return records[-n:]
+        super().__init__(capacity)
 
     def stats(self) -> DecisionLogStats:
-        with self._lock:
-            appended = self._appended
-            size = len(self._records)
+        """Appended, displaced and retained counts from one read."""
+        appended, dropped, size = self.counts()
         return DecisionLogStats(
             appended=appended,
-            dropped=appended - size,
+            dropped=dropped,
             size=size,
             capacity=self.capacity,
         )
-
-    # -- export ----------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """One JSON object per decision, oldest first, stable keys."""
-        return "".join(
-            json.dumps(r.as_dict(), sort_keys=False) + "\n"
-            for r in self.records()
-        )
-
-    def export_jsonl(self, path_or_file: Union[str, "IO[str]"]) -> int:
-        """Write :meth:`to_jsonl` to a path or open text file.
-
-        Returns the number of records written.
-        """
-        records = self.records()
-        text = "".join(
-            json.dumps(r.as_dict(), sort_keys=False) + "\n" for r in records
-        )
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)  # type: ignore[union-attr]
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return len(records)
 
     def replay_digest(self) -> str:
         """SHA-256 over the deterministic fields of every record.
@@ -182,7 +126,3 @@ class DecisionLog:
                 json.dumps(r.replay_fields(), sort_keys=True).encode("utf-8")
             )
         return h.hexdigest()
-
-
-#: Convenience for optional-log call sites.
-OptionalLog = Optional[DecisionLog]

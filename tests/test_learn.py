@@ -9,7 +9,6 @@ pipeline, and the deadline gate that keeps exploration off
 latency-bound requests.
 """
 
-import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -129,15 +128,6 @@ class TestDecisionLog:
         assert parsed[1]["seq"] == 2
         # Stable key order across records.
         assert list(parsed[0]) == list(parsed[1])
-
-    def test_export_to_path_and_file_object(self, tmp_path):
-        log = DecisionLog()
-        log.append(_record(1))
-        path = tmp_path / "decisions.jsonl"
-        assert log.export_jsonl(str(path)) == 1
-        buf = io.StringIO()
-        assert log.export_jsonl(buf) == 1
-        assert path.read_text() == buf.getvalue() == log.to_jsonl()
 
     def test_replay_digest_ignores_wall_only(self):
         a, b, c = DecisionLog(), DecisionLog(), DecisionLog()
