@@ -73,13 +73,20 @@ def evaluate_matrix(
     *,
     locality: Optional[float] = None,
 ) -> List[SchemeEvaluation]:
-    """Measure every scheme (and every kernel per bin) on ``matrix``."""
+    """Measure every scheme (and every kernel per bin) on ``matrix``.
+
+    Schemes often bin alike (every large ``U`` puts a small matrix in
+    one bin, as the single-bin scheme does), so each distinct row set
+    is priced once and its best kernel reused by every bin holding it.
+    """
     spec = device.spec
     g = (effective_gather_locality(matrix, spec) if locality is None
         else float(locality))
     lengths = matrix.row_lengths()
     kernels = [get_kernel(n) for n in space.kernel_names]
     launch_s = spec.seconds(spec.kernel_launch_cycles)
+    #: row-set bytes -> (best kernel name, simulated seconds)
+    priced: Dict[bytes, Tuple[str, float]] = {}
     out: List[SchemeEvaluation] = []
     for si, scheme in enumerate(space.schemes()):
         binning = scheme.bin_rows(matrix)
@@ -88,16 +95,19 @@ def evaluate_matrix(
         total = overhead
         launches = 0
         for b, rows in binning.non_empty():
-            bin_lengths = lengths[rows]
-            best_name, best_t = None, np.inf
-            for kernel in kernels:
-                t = device.time_dispatch(
-                    kernel, bin_lengths, g, include_launch=False
-                )
-                if t < best_t:
-                    best_name, best_t = kernel.name, t
-            best[b] = (best_name, best_t)
-            total += best_t + launch_s
+            row_set = np.asarray(rows, dtype=np.int64).tobytes()
+            if row_set not in priced:
+                bin_lengths = lengths[rows]
+                best_name, best_t = None, np.inf
+                for kernel in kernels:
+                    t = device.time_dispatch(
+                        kernel, bin_lengths, g, include_launch=False
+                    )
+                    if t < best_t:
+                        best_name, best_t = kernel.name, t
+                priced[row_set] = (best_name, best_t)
+            best[b] = priced[row_set]
+            total += best[b][1] + launch_s
             launches += 1
         out.append(
             SchemeEvaluation(

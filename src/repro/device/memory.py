@@ -58,15 +58,16 @@ def gather_locality(matrix: CSRMatrix, *, window: int = 8) -> float:
     if matrix.nnz < 2:
         return 1.0
     diffs = np.diff(matrix.colidx)
-    # Row boundaries produce unrelated diffs; mask them out.
-    boundary = matrix.rowptr[1:-1] - 1
-    boundary = boundary[(boundary >= 0) & (boundary < matrix.nnz - 1)]
-    mask = np.ones(matrix.nnz - 1, dtype=bool)
-    mask[boundary] = False
-    intra = np.abs(diffs[mask])
-    if len(intra) == 0:
+    close = np.abs(diffs, out=diffs) <= window
+    # A pair across a row boundary relates two rows: leave it out.  Each
+    # non-empty row but the first starts exactly one such pair, however
+    # many empty rows lie before it.
+    starts = matrix.rowptr[:-1][matrix.row_lengths() > 0][1:]
+    pairs = matrix.nnz - 1 - len(starts)
+    if pairs == 0:
         return 1.0
-    return float(np.mean(intra <= window))
+    return float((np.count_nonzero(close)
+                  - np.count_nonzero(close[starts - 1])) / pairs)
 
 
 def effective_gather_locality(matrix: CSRMatrix, spec: DeviceSpec) -> float:

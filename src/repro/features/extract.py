@@ -14,7 +14,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
-from repro.matrices.stats import RowStats
 
 __all__ = ["MatrixFeatures", "extract_features", "FEATURE_NAMES"]
 
@@ -79,15 +78,20 @@ class MatrixFeatures:
 def extract_features(matrix: CSRMatrix) -> MatrixFeatures:
     """Compute the Table I parameters of ``matrix``.
 
-    One pass over the row-pointer array; O(nrows).
+    One pass over the row-pointer array; O(nrows).  The same NumPy
+    reductions as :class:`~repro.matrices.stats.RowStats`, so the
+    values are bit-identical to its Table I fields; nothing else (no
+    median, quantile or Gini sort) is computed.
     """
-    stats = RowStats.from_matrix(matrix)
+    if matrix.nrows == 0:
+        return MatrixFeatures(0, matrix.ncols, 0, 0.0, 0.0, 0, 0)
+    lengths = matrix.row_lengths()
     return MatrixFeatures(
-        m=stats.nrows,
-        n=stats.ncols,
-        nnz=stats.nnz,
-        var_nnz=stats.var_nnz,
-        avg_nnz=stats.avg_nnz,
-        min_nnz=stats.min_nnz,
-        max_nnz=stats.max_nnz,
+        m=matrix.nrows,
+        n=matrix.ncols,
+        nnz=matrix.nnz,
+        var_nnz=float(lengths.var()),
+        avg_nnz=float(lengths.mean()),
+        min_nnz=int(lengths.min()),
+        max_nnz=int(lengths.max()),
     )

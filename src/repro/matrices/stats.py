@@ -1,8 +1,12 @@
 """Row-distribution statistics for sparse matrices.
 
-One dataclass, :class:`RowStats`, computed once per matrix and shared by
-the feature extractor (Table I), the corpus reports (Figure 5) and the
-binning analyses.  All statistics are over the per-row non-zero counts.
+:class:`RowStats` summarises the per-row non-zero counts of one matrix:
+the paper's Table I fields plus the median, 90th percentile, empty-row
+count and Gini coefficient.  The extended feature set reads it.  The
+planner's Table I extractor (:func:`repro.features.extract.extract_features`)
+builds none: it runs the same reductions for the Table I fields alone,
+so the two agree bit for bit without the sorts the extras need.
+:func:`row_length_histogram` buckets row lengths for Figure 5.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ FIGURE5_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 100, 256, 1024, np.inf)
 class RowStats:
     """Summary statistics of a matrix's per-row non-zero counts.
 
-    Attributes mirror the paper's Table I plus a few extras used by the
-    extended feature set and the corpus reports.
+    Attributes mirror the paper's Table I plus a few extras; the
+    extended feature set reads the Gini coefficient and ``cv_nnz``.
     """
 
     nrows: int

@@ -168,8 +168,8 @@ class KernelProfiler:
     """Evaluates the analytical cost model into dispatch profiles.
 
     Every call re-runs the model: its callers profile each key once
-    (the online selector once per feature bucket, a sweep once per
-    (U, bin, kernel), the CLI once per command).
+    (the online selector each distinct arm plan of a new feature
+    bucket, a sweep each (U, bin, kernel), the CLI once per command).
     """
 
     def __init__(self, spec: Optional[DeviceSpec] = None):
@@ -246,10 +246,19 @@ class KernelProfiler:
 
     # -- whole plans -----------------------------------------------------
     def profile_plan(
-        self, matrix: CSRMatrix, plan: ExecutionPlan
+        self,
+        matrix: CSRMatrix,
+        plan: ExecutionPlan,
+        *,
+        locality: Optional[float] = None,
     ) -> ProfileReport:
-        """Profile every launch an execution plan would make."""
-        loc = gather_locality(matrix)
+        """Profile every launch an execution plan would make.
+
+        ``locality`` defaults to the matrix's measured gather locality;
+        a caller profiling several plans of one matrix measures it once
+        and passes it in.
+        """
+        loc = gather_locality(matrix) if locality is None else locality
         granularity = getattr(plan.scheme, "u", 0)
         rows = tuple(
             self.profile_dispatch(

@@ -35,6 +35,7 @@ from repro.serve.server import heuristic_planner
 from repro.shard.executor import ShardingPolicy
 from repro.shard.scheduler import CoalescePolicy
 from repro.trace import SLOTarget, TracingPolicy
+from tests.test_bound_plan import _prediction_matrices, _tuner
 
 pytestmark = pytest.mark.learn
 
@@ -578,6 +579,91 @@ class TestServerIntegration:
                     server.stats().learning.explored)
 
         assert run() == run()
+
+
+# ----------------------------------------------------------------------
+# A new key is planned once: the seeding plan serves its own request
+# ----------------------------------------------------------------------
+def _count_cold_path(monkeypatch):
+    """Every tuner plan (with the matrix it planned) and every gather-
+    locality pass from here on, through each module holding the name."""
+    import sys
+
+    from repro.core.framework import AutoTuner
+    from repro.device import memory
+
+    plans, passes = [], []
+    plan, locality = AutoTuner._plan_unspanned, memory.gather_locality
+
+    def counting_plan(tuner, matrix):
+        plans.append((matrix, plan(tuner, matrix)))
+        return plans[-1][1]
+
+    def counting_locality(matrix, **kwargs):
+        passes.append(matrix)
+        return locality(matrix, **kwargs)
+
+    monkeypatch.setattr(AutoTuner, "_plan_unspanned", counting_plan)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro")
+                and getattr(module, "gather_locality", None) is locality):
+            monkeypatch.setattr(module, "gather_locality", counting_locality)
+    return plans, passes
+
+
+def _cold_case():
+    tuner = _tuner("tree")
+    matrix = _prediction_matrices("tenant_mix")[4]
+    x = np.random.default_rng(4).standard_normal(matrix.ncols)
+    return tuner, matrix, x
+
+
+def test_cold_submit_runs_the_plan_that_seeded_its_key(monkeypatch):
+    tuner, matrix, x = _cold_case()
+    with SpMVServer(tuner) as static:
+        expected = static.submit(matrix, x)
+    plans, passes = _count_cold_path(monkeypatch)
+    with SpMVServer(tuner, learning=LearningPolicy(epsilon=0.0)) as server:
+        result = server.submit(matrix, x)
+    assert len(plans) == 1 and len(passes) <= 2
+    assert result.arm == TREE_ARM_NAME and not result.cache_hit
+    assert result.plan is plans[0][1]
+    assert result.y.tobytes() == expected.y.tobytes()
+    assert repr(result.seconds) == repr(expected.seconds)
+
+
+def test_explored_first_decision_does_not_run_the_seeded_plan(monkeypatch):
+    tuner, matrix, x = _cold_case()
+    plans, _ = _count_cold_path(monkeypatch)
+    policy = LearningPolicy(epsilon=1.0, max_explore_fraction=1.0)
+    with SpMVServer(tuner, learning=policy) as server:
+        result = server.submit(matrix, x)
+        arm = server.selector._arm_by_name[result.arm]
+    assert result.explored and not arm.is_tree
+    assert len(plans) == 1 and result.plan is not plans[0][1]
+    assert result.plan.source == "learned"
+    with SpMVServer(
+            planner=lambda m: OnlineSelector._arm_plan(m, arm)) as static:
+        expected = static.submit(matrix, x)
+    assert result.y.tobytes() == expected.y.tobytes()
+    assert repr(result.seconds) == repr(expected.seconds)
+
+
+def test_sharded_learning_plans_each_shard_itself(monkeypatch):
+    tuner, matrix, x = _cold_case()
+    sharding = ShardingPolicy(n_shards=2)
+    with SpMVServer(tuner, sharding=sharding) as plain:
+        expected = plain.submit(matrix, x)
+    plans, _ = _count_cold_path(monkeypatch)
+    with SpMVServer(tuner, sharding=sharding,
+                    learning=LearningPolicy(epsilon=0.0)) as server:
+        result = server.submit(matrix, x)
+    planned = [m for m, _ in plans]
+    assert planned[0] is matrix and len(planned) == 3
+    assert all(shard is not matrix for shard in planned[1:])
+    assert sum(shard.nrows for shard in planned[1:]) == matrix.nrows
+    assert result.y.tobytes() == expected.y.tobytes()
+    assert repr(result.seconds) == repr(expected.seconds)
 
 
 # ----------------------------------------------------------------------
