@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
@@ -51,13 +52,15 @@ class BinningResult:
     @property
     def n_nonempty(self) -> int:
         """Bins that will actually produce a kernel launch."""
-        return sum(1 for b in self.bins if len(b))
+        return len(self.non_empty())
 
-    def non_empty(self) -> Iterator[Tuple[int, np.ndarray]]:
-        """Iterate ``(bin_id, row_indices)`` over non-empty bins."""
-        for i, rows in enumerate(self.bins):
-            if len(rows):
-                yield i, rows
+    def non_empty(self) -> Tuple[Tuple[int, np.ndarray], ...]:
+        """``(bin_id, row_indices)`` of every non-empty bin, in bin order."""
+        return self._non_empty
+
+    @cached_property
+    def _non_empty(self) -> Tuple[Tuple[int, np.ndarray], ...]:
+        return tuple((i, rows) for i, rows in enumerate(self.bins) if len(rows))
 
     def total_rows(self) -> int:
         """Rows covered across all bins (must equal the matrix rows)."""

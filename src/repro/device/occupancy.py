@@ -8,6 +8,8 @@ capacity; register pressure is ignored (the paper's kernels are small).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.device.spec import DeviceSpec
 from repro.errors import DeviceError
 
@@ -43,10 +45,13 @@ def resident_waves(
 
     The latency-hiding capability of the dispatch: capped below by 1
     (something is always running while work remains) and above by the
-    occupancy limit.
+    occupancy limit.  Elementwise over an array of wave counts.
     """
-    if n_waves <= 0:
+    batch = isinstance(n_waves, np.ndarray)
+    if not batch and n_waves <= 0:
         return 0.0
     cap = workgroup_occupancy(spec, lds_bytes_per_wg) * spec.waves_per_workgroup
     per_cu = n_waves / spec.num_cus
+    if batch:
+        return np.where(n_waves > 0, np.maximum(1.0, np.minimum(per_cu, cap)), 0.0)
     return float(max(1.0, min(per_cu, cap)))

@@ -21,7 +21,8 @@ Every kernel exposes:
   rounding);
 - :meth:`~repro.kernels.base.Kernel.cost` -- the analytical
   :class:`~repro.device.dispatch.DispatchStats` of launching the kernel
-  over a bin with the given row lengths.
+  over a bin with the given row lengths, or over a batch of bins in one
+  pass.
 """
 
 from repro.kernels.base import Kernel

@@ -250,11 +250,11 @@ def _coalesce_key(
     it alone is not a safe coalescing key: two matrices with one pattern
     but different values must not share a dispatch.  Pair it with a
     digest of the value array -- always computed fresh (never memoised):
-    values legitimately mutate in place between submits.
+    values legitimately mutate in place between submits.  Like the
+    fingerprint, it is SHA-256 truncated to 16 bytes over the array's
+    buffer, read in place.
     """
-    digest = hashlib.blake2b(
-        np.ascontiguousarray(matrix.val).tobytes(), digest_size=16
-    ).digest()
+    digest = hashlib.sha256(np.ascontiguousarray(matrix.val)).digest()[:16]
     return fingerprint(matrix), digest
 
 

@@ -1,6 +1,7 @@
 """Property tests for the serving layer (fingerprint, cache, server)."""
 
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -72,6 +73,19 @@ class TestFingerprint:
         m = _matrix(5)
         d = {fingerprint_matrix(m): "plan"}
         assert d[fingerprint_matrix(_revalued(m))] == "plan"
+
+    def test_digest_is_sha256_of_shape_and_index_arrays(self):
+        """SHA-256 over the int64 shape, then rowptr and colidx, cut to
+        its first 16 bytes."""
+        for m in (_matrix(6, nrows=40, ncols=70), CSRMatrix.empty((0, 3)),
+                  CSRMatrix.identity(3)):
+            stream = (np.asarray(m.shape, dtype=np.int64).tobytes()
+                      + m.rowptr.astype(np.int64).tobytes()
+                      + m.colidx.astype(np.int64).tobytes())
+            assert fingerprint_matrix(m).digest == (
+                hashlib.sha256(stream).digest()[:16].hex())
+        assert fingerprint_matrix(CSRMatrix.identity(3)).digest == (
+            "31a0a862c1729acbc2a770cd108e8c9a")
 
 
 class TestFingerprintIdentity:

@@ -14,6 +14,7 @@ Covers the three layers of the subsystem:
   backpressure raises ``QueueFullError``, close() drains pending work.
 """
 
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -339,6 +340,21 @@ class TestShardedExecutorBehaviour:
 class TestRequestScheduler:
     def _server(self):
         return SpMVServer(registry=NULL_REGISTRY)
+
+    def test_coalescing_key_digests_values_with_sha256(self):
+        """The structure's fingerprint, then SHA-256 over the value
+        array cut to 16 bytes: equal values share a key, new ones do
+        not."""
+        from repro.serve import fingerprint_matrix
+        from repro.shard.scheduler import _coalesce_key
+
+        m = _matrix(3)
+        fp, digest = _coalesce_key(m)
+        assert fp == fingerprint_matrix(m)
+        assert digest == hashlib.sha256(m.val.tobytes()).digest()[:16]
+        revalued = CSRMatrix(m.rowptr, m.colidx, m.val * 2.0, m.shape)
+        assert _coalesce_key(revalued)[0] == fp
+        assert _coalesce_key(revalued)[1] != digest
 
     def test_coalesced_columns_bit_identical_to_sequential(self):
         server = self._server()

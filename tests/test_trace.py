@@ -388,6 +388,29 @@ class TestKernelProfiler:
         assert report.total_seconds() > 0.0
         assert "kernel profile" in report.describe()
 
+    def test_profile_plan_reads_row_lengths_once(self, monkeypatch):
+        """A u50 plan's launches share one row-length pass."""
+        from repro.binning import CoarseBinning
+        from repro.core.plan import ExecutionPlan
+        from repro.matrices import generators as gen
+
+        m = gen.power_law_graph(3_000, seed=1)
+        binning = CoarseBinning(50).bin_rows(m)
+        kernels = ("serial", "subvector8", "vector")
+        plan = ExecutionPlan(
+            scheme=CoarseBinning(50), binning=binning,
+            bin_kernels={b: kernels[i % 3] for i, (b, _) in
+                         enumerate(binning.non_empty())})
+        assert binning.n_nonempty > 3
+        calls = []
+        row_lengths = CSRMatrix.row_lengths
+        monkeypatch.setattr(CSRMatrix, "row_lengths",
+                            lambda self: calls.append(1) or row_lengths(self))
+        report = KernelProfiler().profile_plan(m, plan, locality=0.5)
+        assert len(calls) == 1
+        assert [r.bin_id for r in report.rows] == [
+            b for b, _ in binning.non_empty()]
+
     def test_by_kernel_partitions_rows(self):
         m = _matrix(2)
         report = KernelProfiler().sweep(
