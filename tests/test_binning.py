@@ -62,6 +62,8 @@ class TestBinningResult:
         assert [b for b, _ in r.non_empty()] == [1, 2]
         assert r.n_nonempty == 2
         assert r.n_bins == 3
+        # One scan per result: every later call returns the same pairs.
+        assert r.non_empty() is r.non_empty()
 
 
 class TestCoarseBinning:
