@@ -2,9 +2,11 @@
 
 The paper's framework executes SpMV as a *sequence of kernel launches*,
 one per non-empty bin (each bin's rows processed by that bin's selected
-kernel).  :class:`SimulatedDevice` does the same: it computes the real
-numerical result with each kernel's ``compute`` and accounts simulated
-time with each kernel's ``cost`` plus the per-launch overhead.
+kernel).  :class:`SimulatedDevice` accounts simulated time the same way,
+launch by launch, with each kernel's ``cost`` plus the per-launch
+overhead.  Every kernel computes the same per-row sums, so a launch
+only prices: the device computes the numerical result once per request,
+in one pass over the whole CSR, whatever the plan's launches.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.device.memory import effective_gather_locality
 from repro.device.spec import DeviceSpec
 from repro.errors import DeviceError
 from repro.formats.csr import CSRMatrix
-from repro.kernels.base import Gather, Kernel, price_launches
+from repro.kernels.base import Kernel, price_launches, row_dots
 # The per-layer tracer (perfbench/layers.py) times these two names on
 # this module as well as on the shard backend's.
 from repro.kernels.base import row_products_batch  # noqa: F401
@@ -101,11 +103,15 @@ def _scale_stats_for_rhs(stats: DispatchStats, n_rhs: int) -> DispatchStats:
 
 
 def _check_coverage(nrows: int, dispatches: Sequence[Dispatch]) -> None:
-    """Raise unless the dispatches partition ``range(nrows)``."""
+    """Raise unless the dispatches partition ``range(nrows)``: ``nrows``
+    indices, all in range, that miss no row -- O(nrows), no sort."""
     covered = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         np.asarray(rows, dtype=np.int64) for _, rows in dispatches
     ])
-    if not np.array_equal(np.sort(covered), np.arange(nrows)):
+    partition = len(covered) == nrows and (
+        nrows == 0 or (0 <= covered.min() and covered.max() < nrows
+                       and np.bincount(covered, minlength=nrows).all()))
+    if not partition:
         raise DeviceError(
             f"dispatches cover {len(covered)} rows "
             f"(unique {len(np.unique(covered))}), matrix has {nrows}"
@@ -114,23 +120,28 @@ def _check_coverage(nrows: int, dispatches: Sequence[Dispatch]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BoundPlan:
-    """A dispatch sequence priced and gathered once for one structure.
+    """A dispatch sequence priced once for one structure.
 
-    Holds only what does not depend on the right-hand side -- rows, cost
-    statistics and the structure-only :class:`~repro.kernels.base.Gather`
-    per non-empty dispatch, the extra (binning) overhead and per-width
-    dispatch seconds -- never values, so one bound plan serves every
-    matrix with its structure, and a warm run pays only for products
-    and reductions.
+    Holds only what does not depend on the right-hand side -- each
+    launch's kernel, row count and cost statistics, the extra (binning)
+    overhead, per-width dispatch seconds, and the structure's non-empty
+    rows with their CSR starts, which the one compute pass reduces at --
+    never values and never views of the matrix, so one bound plan serves
+    every matrix with its structure, and a warm run pays only for
+    products and reductions.
     """
 
     spec: DeviceSpec
     nrows: int
     nnz: int
-    #: ``(kernel, rows, stats, gather)`` per launch, empty row sets dropped.
-    dispatches: Tuple[Tuple[Kernel, np.ndarray, DispatchStats, Gather], ...]
+    #: ``(kernel, n_rows, stats)`` per launch, empty row sets dropped.
+    dispatches: Tuple[Tuple[Kernel, int, DispatchStats], ...]
     #: Extra accounted seconds, charged once per execution.
     overhead: float
+    #: Indices of the structure's non-empty rows, ascending.
+    nonempty: np.ndarray
+    #: ``rowptr`` at each of :attr:`nonempty` (a copy, not a view).
+    starts: np.ndarray
     _times: Dict[int, Tuple[float, ...]] = field(default_factory=dict, repr=False)
 
     def pass_times(self, n_rhs: int) -> Tuple[float, ...]:
@@ -139,7 +150,7 @@ class BoundPlan:
         if times is None:
             times = tuple(
                 dispatch_seconds(_scale_stats_for_rhs(stats, n_rhs), self.spec)
-                for _kernel, _rows, stats, _gather in self.dispatches
+                for _kernel, _n_rows, stats in self.dispatches
             )
             self._times[n_rhs] = times
         return times
@@ -226,31 +237,29 @@ class SimulatedDevice:
 
     # ------------------------------------------------------------------
     def bind(self, matrix: CSRMatrix, dispatches: Sequence[Dispatch], *,
-             locality: Optional[float] = None, check_coverage: bool = True,
+             locality: Optional[float] = None,
              extra_seconds: float = 0.0) -> BoundPlan:
-        """Price and gather ``(kernel, rows)`` dispatches for ``matrix``'s structure.
+        """Price ``(kernel, rows)`` dispatches for ``matrix``'s structure.
 
-        Each pair becomes one launch over exactly those rows, with its
-        :class:`~repro.kernels.base.Gather` built here once; empty row
+        Each pair becomes one launch over exactly those rows; empty row
         sets are dropped (no launch, no cost).  Each kernel prices all of
-        its launches in one batch.  ``locality`` defaults to
-        the matrix's measured gather locality.  ``check_coverage`` makes
-        a malformed plan (rows not partitioning the matrix) raise
-        :class:`DeviceError` instead of silently producing zeros or
-        double-counted rows.  ``extra_seconds`` (e.g. the scheme's
-        binning overhead) is charged once per execution.
+        its launches in one batch.  ``locality`` defaults to the
+        matrix's measured gather locality.  A malformed plan (rows not
+        partitioning the matrix) raises :class:`DeviceError`.
+        ``extra_seconds`` (e.g. the scheme's binning overhead) is
+        charged once per execution.
         """
         g = (effective_gather_locality(matrix, self.spec) if locality is None
              else float(locality))
-        if check_coverage:
-            _check_coverage(matrix.nrows, dispatches)
+        _check_coverage(matrix.nrows, dispatches)
+        lengths = matrix.row_lengths()
         launches = [(kernel, np.asarray(rows, dtype=np.int64))
                     for kernel, rows in dispatches if len(rows)]
-        stats = price_launches(matrix.row_lengths(), launches, g, self.spec)
+        stats = price_launches(lengths, launches, g, self.spec)
+        nonempty = np.flatnonzero(lengths)
         return BoundPlan(self.spec, matrix.nrows, matrix.nnz, tuple(
-            (kernel, rows, s, Gather.of(matrix, rows))
-            for (kernel, rows), s in zip(launches, stats)
-        ), extra_seconds)
+            (kernel, len(rows), s) for (kernel, rows), s in zip(launches, stats)
+        ), extra_seconds, nonempty, matrix.rowptr[nonempty])
 
     # ------------------------------------------------------------------
     def run(self, matrix: CSRMatrix, rhs: np.ndarray,
@@ -284,15 +293,14 @@ class SimulatedDevice:
                  max_rhs: Optional[int] = None, **binding) -> SpMVResult:
         """Execute one binned plan against a multi-RHS block ``(ncols, k)``.
 
-        The batched :meth:`run_spmv`, through the same kernel body: each
-        launch gathers its entries once per pass and reduces each of the
-        pass's columns with one ``reduceat``, so column ``j`` is
-        bit-identical to ``run_spmv(matrix, dense[:, j], ...).y``.  A
-        ``max_rhs`` cap below ``k`` splits the block into column blocks,
-        each a separate dispatch sequence re-paying the launches
-        (``n_passes``); the extra (binning) overhead is charged once.  A
-        block with no columns runs no pass: no launch, no dispatch
-        record, only the extra overhead.
+        The batched :meth:`run_spmv`, through the same body: each column
+        is reduced on its own, so column ``j`` is bit-identical to
+        ``run_spmv(matrix, dense[:, j], ...).y``.  A ``max_rhs`` cap
+        below ``k`` splits the block into column blocks, each a separate
+        dispatch sequence re-paying the launches (``n_passes``); the
+        extra (binning) overhead is charged once.  A block with no
+        columns runs no pass: no launch, no dispatch record, only the
+        extra overhead.
         """
         return self._run(matrix, check_spmm_operand(matrix.ncols, dense),
                          dispatches, binding, max_rhs)
@@ -301,8 +309,11 @@ class SimulatedDevice:
              binding: dict, max_rhs: Optional[int] = None) -> SpMVResult:
         """One execution body for SpMV (1-D ``rhs``) and SpMM (2-D).
 
-        Seconds are ``overhead + (sum + launch)`` per pass; addition
-        commutes, so one pass equals ``sum + launch + overhead``.
+        ``y`` is computed once, each row one ``reduceat`` segment over
+        its entries in CSR order -- what every kernel's fast path sums,
+        launch by launch.  The launches then only price: seconds are
+        ``overhead + (sum + launch)`` per pass; addition commutes, so
+        one pass equals ``sum + launch + overhead``.
         """
         if not isinstance(dispatches, BoundPlan):
             bound = self.bind(matrix, dispatches, **binding)
@@ -319,31 +330,30 @@ class SimulatedDevice:
         step = max_rhs if split else max(k, 1)
         blocks = [(lo, min(lo + step, k)) for lo in range(0, k, step)]
         op = "spmm" if batch else "spmv"
+        # One boolean decides tracing for the whole call; untraced runs
+        # pay a single thread-local read.
+        traced = current_trace() is not None
+        if traced:
+            w0 = perf_counter()
         out = np.zeros((matrix.nrows,) + rhs.shape[1:])
+        # Column-major once: each column is then one contiguous row.
+        row_dots(matrix.val, matrix.colidx, bound.starts, bound.nonempty,
+                 np.asfortranarray(rhs) if batch else rhs, out)
+        if traced:
+            w1 = perf_counter()
+            trace_event("device.compute", w0, w1, attrs={"op": op, "n_rhs": k})
         launch_s = len(bound.dispatches) * self.spec.seconds(
             self.spec.kernel_launch_cycles
         )
         seconds, all_times, launch_total = bound.overhead, [], 0.0
-        # One boolean decides per-launch tracing for the whole call;
-        # untraced runs pay a single thread-local read, nothing per
-        # dispatch.
-        traced = current_trace() is not None
         for lo, hi in blocks:
             times = bound.pass_times(hi - lo)
-            # Column-major once per pass: every launch then reads whole
-            # contiguous columns without a copy of its own.
-            block, dest = ((np.asfortranarray(rhs[:, lo:hi]), out[:, lo:hi])
-                           if batch else (rhs, out))
-            for (kernel, rows, _stats, gather), t in zip(bound.dispatches,
-                                                         times):
-                if traced:
-                    w0 = perf_counter()
-                dest[rows] = kernel.compute(matrix, block, rows, gather=gather)
+            for (kernel, n_rows, _stats), t in zip(bound.dispatches, times):
                 if traced:
                     trace_event(
-                        "device.dispatch", w0, perf_counter(),
+                        "device.dispatch", w1, w1,
                         attrs={"kernel": kernel.name, "op": op,
-                               "rows": int(len(rows)),
+                               "rows": n_rows,
                                **({"n_rhs": hi - lo} if batch else {}),
                                "simulated_seconds": t},
                     )

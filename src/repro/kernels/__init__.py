@@ -17,8 +17,10 @@ Every kernel exposes:
 - :meth:`~repro.kernels.base.Kernel.compute` -- the actual arithmetic,
   with an ``emulate=True`` mode that reproduces the OpenCL kernel's
   staging loops and tree-reduction association order lane by lane, and a
-  vectorised fast path used by the executor (identical up to FP
-  rounding);
+  vectorised fast path (identical up to FP rounding) that sums each row
+  as the simulated device's one compute pass does -- the device itself
+  computes ``y`` once per request and never calls a kernel's
+  ``compute``;
 - :meth:`~repro.kernels.base.Kernel.cost` -- the analytical
   :class:`~repro.device.dispatch.DispatchStats` of launching the kernel
   over a bin with the given row lengths, or over a batch of bins in one

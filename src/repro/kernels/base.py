@@ -3,8 +3,11 @@
 A :class:`Kernel` is a *strategy*: the same mathematical operation
 (per-row dot products with the input vector) realised with a particular
 thread organisation.  The auto-tuner treats kernels as opaque -- it only
-ever calls :meth:`Kernel.compute` (for results) and :meth:`Kernel.cost`
-(for predicted :class:`~repro.device.dispatch.DispatchStats`).
+ever calls :meth:`Kernel.cost` (for predicted
+:class:`~repro.device.dispatch.DispatchStats`).  A kernel's identity
+never changes a result: every fast path of :meth:`Kernel.compute`, and
+the simulated device's one compute pass per request, sum each row with
+:func:`row_dots`.
 
 Each kernel's cost model prices a :class:`BinBatch` -- any number of
 bins, back to back -- in one pass; a lone bin is a :class:`OneBin`.
@@ -13,8 +16,7 @@ bins, back to back -- in one pass; a lone bin is a :class:`OneBin`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from repro.errors import KernelError, ShapeError
 from repro.formats.csr import CSRMatrix
 from repro.utils.primitives import exclusive_scan
 
-__all__ = ["Kernel", "BinBatch", "OneBin", "Gather", "price_launches",
+__all__ = ["Kernel", "BinBatch", "OneBin", "price_launches", "row_dots",
            "row_products", "row_products_batch", "pad_reshape"]
 
 #: Wavefront-instruction budget charged per row for prologue/epilogue
@@ -52,36 +54,26 @@ def _gather_index(
     return src, offsets
 
 
-@dataclass(frozen=True, eq=False)
-class Gather:
-    """One launch's structure-only gather, built once when a plan binds.
+def row_dots(
+    val: np.ndarray,
+    colidx: np.ndarray,
+    starts: np.ndarray,
+    rows: np.ndarray,
+    rhs: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write each row's dot products with ``rhs`` into ``out[rows]``.
 
-    Index data only -- no values, no views of ``val`` or ``colidx``, no
-    reference to the matrix -- so it serves every matrix with the
-    structure it was built from.
+    Row ``rows[i]`` holds the entries from ``starts[i]`` up to the next
+    start (the last row: to the end of ``val``), so ``rows`` lists only
+    non-empty rows.  Each column of ``rhs`` (a vector or an ``(ncols,
+    k)`` block, fastest column-major) is its own 1-D ``reduceat``, one
+    segment per row in entry order, so column ``c`` is exactly the dots
+    of ``rhs[:, c]``.
     """
-
-    #: CSR positions of the launch's entries, in launch order: a
-    #: ``slice`` when the rows form one ascending run, else an index.
-    src: Union[slice, np.ndarray]
-    #: Start of each non-empty row within the gathered entries.
-    starts: np.ndarray
-    #: Local indices (into the launch's rows) of the non-empty rows.
-    nonempty: np.ndarray
-
-    @classmethod
-    def of(cls, matrix: CSRMatrix, rows: np.ndarray) -> "Gather":
-        """The gather for ``rows`` of ``matrix``'s structure."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if (len(rows) and 0 <= rows[0] and rows[-1] < matrix.nrows
-                and np.all(np.diff(rows) == 1)):
-            lo, hi = int(rows[0]), int(rows[-1]) + 1
-            offsets = matrix.rowptr[lo:hi + 1] - matrix.rowptr[lo]
-            src = slice(int(matrix.rowptr[lo]), int(matrix.rowptr[hi]))
-        else:
-            src, offsets = _gather_index(matrix, rows)
-        nonempty = np.flatnonzero(np.diff(offsets))
-        return cls(src, offsets[nonempty], nonempty)
+    if len(starts):
+        for x, y in zip(np.atleast_2d(rhs.T), np.atleast_2d(out.T)):
+            y[rows] = np.add.reduceat(val * x[colidx], starts)
 
 
 def row_products(
@@ -250,20 +242,20 @@ class Kernel(ABC):
         rows: np.ndarray,
         *,
         emulate: bool = False,
-        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         """Dot products of the selected ``rows`` of ``matrix`` with ``rhs``.
 
         ``rhs`` is a vector or an ``(ncols, k)`` block; the result has
         one row per selected row and ``rhs``'s trailing shape.  The
-        vectorised fast path gathers ``val`` and ``colidx`` once, at
-        ``gather`` (the launch's bound :class:`Gather`; built here when
-        omitted), then reduces each column with one ``reduceat`` -- so
-        column ``c`` is exactly the SpMV of ``rhs[:, c]``.  With
-        ``emulate=True`` the kernel reproduces the OpenCL
-        implementation's lane-level staging and reduction order for a
-        single vector (slow; for validation), equal to the fast path up
-        to floating-point association.
+        vectorised fast path gathers the rows' ``val`` and ``colidx``
+        once, then reduces each column with one ``reduceat``
+        (:func:`row_dots`) -- so column ``c`` is exactly the SpMV of
+        ``rhs[:, c]``, and each row sums as the simulated device's one
+        compute pass sums it.  The device itself never calls this: a
+        launch there only prices.  With ``emulate=True`` the kernel
+        reproduces the OpenCL implementation's lane-level staging and
+        reduction order for a single vector (slow; for validation),
+        equal to the fast path up to floating-point association.
         """
 
     def cost(
@@ -340,23 +332,19 @@ class Kernel(ABC):
         matrix: CSRMatrix,
         rhs: np.ndarray,
         rows: np.ndarray,
-        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         """Vectorised per-row dot products for 1 or k columns (fast path)."""
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.ndim not in (1, 2) or rhs.shape[0] != matrix.ncols:
             raise ShapeError(f"operand has shape {rhs.shape}, expected "
                              f"({matrix.ncols},) or ({matrix.ncols}, k)")
-        if gather is None:
-            gather = Gather.of(matrix, rows)
-        # Column-major output: each column below is one contiguous row of
+        src, offsets = _gather_index(matrix, rows)
+        nonempty = np.flatnonzero(np.diff(offsets))
+        # Column-major output: each column is one contiguous row of
         # ``out.T``, as each column of an F-ordered ``rhs`` is of ``rhs.T``.
         out = np.zeros((len(rows),) + rhs.shape[1:], order="F")
-        if len(gather.starts):
-            val, cols = matrix.val[gather.src], matrix.colidx[gather.src]
-            for x, y in zip(np.atleast_2d(rhs.T), np.atleast_2d(out.T)):
-                y[gather.nonempty] = np.add.reduceat(val * x[cols],
-                                                     gather.starts)
+        row_dots(matrix.val[src], matrix.colidx[src], offsets[nonempty],
+                 nonempty, rhs, out)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

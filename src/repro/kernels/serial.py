@@ -11,8 +11,6 @@ window overflows the L1.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.device.memory import (
@@ -28,7 +26,6 @@ from repro.kernels.base import (
     ROW_OVERHEAD_INSTR,
     WAVE_OVERHEAD_INSTR,
     BinBatch,
-    Gather,
     Kernel,
     row_products,
 )
@@ -52,10 +49,9 @@ class SerialKernel(Kernel):
         rows: np.ndarray,
         *,
         emulate: bool = False,
-        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         if not emulate:
-            return self._fast_row_dots(matrix, rhs, rows, gather)
+            return self._fast_row_dots(matrix, rhs, rows)
         # Lane-faithful: strictly left-to-right accumulation per row,
         # matching the OpenCL kernel's scalar loop.
         products, offsets = row_products(matrix, rhs, rows)

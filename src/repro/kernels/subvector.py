@@ -12,8 +12,6 @@ lengths as in Kernel-Serial).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.device.memory import (
@@ -30,7 +28,6 @@ from repro.kernels.base import (
     ROW_OVERHEAD_INSTR,
     WAVE_OVERHEAD_INSTR,
     BinBatch,
-    Gather,
     Kernel,
     row_products,
 )
@@ -73,10 +70,9 @@ class SubvectorKernel(Kernel):
         rows: np.ndarray,
         *,
         emulate: bool = False,
-        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         if not emulate:
-            return self._fast_row_dots(matrix, rhs, rows, gather)
+            return self._fast_row_dots(matrix, rhs, rows)
         products, offsets = row_products(matrix, rhs, rows)
         out = np.zeros(len(rows))
         x, chunk = self.x, FACTOR * self.x

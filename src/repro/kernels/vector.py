@@ -9,8 +9,6 @@ almost every lane idles and the per-row work-group launch dominates.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.device.memory import (
@@ -25,7 +23,6 @@ from repro.kernels.base import (
     ROW_OVERHEAD_INSTR,
     WAVE_OVERHEAD_INSTR,
     BinBatch,
-    Gather,
     Kernel,
     row_products,
 )
@@ -52,10 +49,9 @@ class VectorKernel(Kernel):
         rows: np.ndarray,
         *,
         emulate: bool = False,
-        gather: Optional[Gather] = None,
     ) -> np.ndarray:
         if not emulate:
-            return self._fast_row_dots(matrix, rhs, rows, gather)
+            return self._fast_row_dots(matrix, rhs, rows)
         products, offsets = row_products(matrix, rhs, rows)
         out = np.zeros(len(rows))
         group = 256

@@ -304,10 +304,10 @@ class SpMVServer:
         structures whose index arrays the fingerprint cache keeps to
         recognise fresh copies without hashing.
     max_rhs:
-        Optional cap on columns per batched pass (wider submissions are
-        column-blocked internally; still one request in the stats, but
-        each column block is a separate dispatch sequence physically --
-        see :meth:`submit_batch`).
+        Optional cap on columns per batched pass, an integer >= 1 (wider
+        submissions are column-blocked internally; still one request in
+        the stats, but each column block is a separate dispatch sequence
+        physically -- see :meth:`submit_batch`).
     registry:
         Metrics registry the server (and its cache/device, unless they
         were passed in pre-built) reports to.  Defaults to the
@@ -409,6 +409,11 @@ class SpMVServer:
         learning: Optional[LearningPolicy] = None,
         blackbox: Optional[BlackboxPolicy] = None,
     ):
+        if max_rhs is not None and not (
+                isinstance(max_rhs, (int, np.integer))
+                and not isinstance(max_rhs, bool) and max_rhs >= 1):
+            raise ValueError(
+                f"max_rhs must be None or an integer >= 1, got {max_rhs!r}")
         if planner is not None:
             self._planner: Planner = planner
         elif tuner is not None:

@@ -32,9 +32,9 @@ rebuilds transparently:
   shard's sub-CSR views and its
   :class:`~repro.device.executor.BoundPlan`, bound exactly as the
   parent's plan cache binds for inline execution).  After warm-up a
-  request costs the worker only ``kernel.compute`` per dispatch --
-  fingerprinting, cost modelling and coverage checks are all paid once
-  at bind time.
+  request costs the worker only the device's one compute pass over the
+  shard -- fingerprinting, cost modelling and coverage checks are all
+  paid once at bind time.
 
 Values are refreshed into the segment by the parent on *every* lease
 (an ``nnz``-sized memcpy): solver traffic re-submits one structure with

@@ -59,8 +59,13 @@ class TestSimulatedDevice:
     def test_coverage_check_rejects_partial(self, problem):
         m, v = problem
         dev = SimulatedDevice()
-        with pytest.raises(DeviceError, match="cover"):
-            dev.run_spmv(m, v, [(get_kernel("serial"), np.array([0, 1]))])
+        rows = np.arange(m.nrows)
+        for partial in (np.array([0, 1]),
+                        np.concatenate(([-1], rows[1:])),  # a negative row
+                        np.concatenate((rows[:-1], [m.nrows]))):  # past the end
+            assert len(partial) in (2, m.nrows)
+            with pytest.raises(DeviceError, match="cover"):
+                dev.run_spmv(m, v, [(get_kernel("serial"), partial)])
 
     def test_coverage_check_rejects_overlap(self, problem):
         m, v = problem
@@ -70,14 +75,13 @@ class TestSimulatedDevice:
             dev.run_spmv(
                 m, v, [(get_kernel("serial"), rows), (get_kernel("vector"), rows[:1])]
             )
-
-    def test_coverage_check_can_be_disabled(self, problem):
-        m, v = problem
-        dev = SimulatedDevice()
-        res = dev.run_spmv(
-            m, v, [(get_kernel("serial"), np.array([0]))], check_coverage=False
-        )
-        assert res.u[1] == 0.0
+        # Row 0 twice and the last row missing: the count still equals
+        # nrows, so only a check that every row is hit can catch it.
+        with pytest.raises(DeviceError, match="cover"):
+            dev.run_spmv(
+                m, v, [(get_kernel("serial"), rows[:-1]),
+                       (get_kernel("vector"), rows[:1])]
+            )
 
     def test_extra_seconds_added(self, problem):
         m, v = problem

@@ -437,9 +437,12 @@ class TestServerTracing:
             res = server.submit(m, np.ones(m.ncols))
             assert res.trace_id is not None
             reached = self._connected(server.trace_recorder, res.trace_id)
-            names = {r.name for r in server.trace_recorder.records(res.trace_id)}
+            records = server.trace_recorder.records(res.trace_id)
+            names = {r.name for r in records}
             assert "serve.request" in names
             assert "device.dispatch" in names
+            # One compute pass per request, beside the launches' spans.
+            assert [r.name for r in records].count("device.compute") == 1
             assert len(reached) == len(server.trace_recorder.records(res.trace_id))
 
     def test_sharded_request_stays_connected(self):
