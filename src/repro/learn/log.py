@@ -45,7 +45,8 @@ class DecisionRecord:
     arm: str
     #: True when the arm was an exploration, not the exploit choice.
     explored: bool
-    #: Analytical prior (simulated seconds) that seeded this arm.
+    #: Prior that seeded this arm: its plan's bound
+    #: ``predicted_seconds()``, the simulated seconds a run is charged.
     prior_seconds: float
     #: Simulated seconds the execution was accounted.
     simulated_seconds: float

@@ -33,11 +33,14 @@ Design constraints, in order:
    from exploration after ``fault_quarantine`` faults -- never retried
    forever.
 
-Priors come from the repo's analytical cost model: each candidate
-arm's plan is profiled via :class:`~repro.trace.profiler.KernelProfiler`
-once per key, when the key is first seen, so seeding an arm table costs
-the model once, not per decision.  The request that seeds a key runs the
-base plan its tree prior came from, so a new key is planned once.
+Priors are the device's own price: each arm's prior is its plan bound
+on the server's device (:meth:`~repro.device.executor.SimulatedDevice.bind`),
+read as ``predicted_seconds()`` -- the seconds a run of that arm is
+charged, kernels, launches and binning overhead, the scale every
+observation is on.  Each key is seeded once, when it is first seen, so
+seeding an arm table costs the model once, not per decision.  The
+request that seeds a key runs the base plan its tree prior came from,
+so a new key is planned once.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ import numpy as np
 from repro.binning.coarse import CoarseBinning
 from repro.binning.single import SingleBinning
 from repro.core.plan import ExecutionPlan
-from repro.device.memory import gather_locality
+from repro.device.executor import SimulatedDevice
+from repro.device.memory import effective_gather_locality
 from repro.features.extract import extract_features
 from repro.formats.csr import CSRMatrix
 from repro.observe.registry import MetricsRegistry, get_registry
-from repro.trace.profiler import KernelProfiler
 from repro.learn.log import DecisionLog, DecisionRecord
 
 __all__ = [
@@ -291,7 +294,8 @@ class OnlineSelector:
     Wiring (done by :class:`~repro.serve.server.SpMVServer` when built
     with ``learning=LearningPolicy(...)``): the server installs
     :meth:`plan` as its planner -- plan cache, sharded executor and all
-    -- then per request calls :meth:`decide`, executes inside
+    -- and hands its unwrapped device in as ``device``, which prices the
+    priors; then per request it calls :meth:`decide`, executes inside
     :meth:`activate`, and reports back via :meth:`observe`.
     """
 
@@ -300,12 +304,12 @@ class OnlineSelector:
         policy: LearningPolicy,
         base_planner: Callable[[CSRMatrix], ExecutionPlan],
         *,
-        profiler: Optional[KernelProfiler] = None,
+        device: Optional[SimulatedDevice] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.policy = policy
         self._base = base_planner
-        self.profiler = KernelProfiler() if profiler is None else profiler
+        self.device = SimulatedDevice() if device is None else device
         self.registry = get_registry() if registry is None else registry
         self.log = DecisionLog(policy.log_capacity)
         self._rng = random.Random(policy.seed)
@@ -571,47 +575,46 @@ class OnlineSelector:
     ) -> Optional[ExecutionPlan]:
         """Seed every arm's prior for a fresh key (lock held).
 
-        The tree arm's prior is the base plan's own predicted cost
-        (falling back to profiling the plan); each candidate arm's
-        prior is the analytical cost of its override plan on the first
-        matrix seen for this key.  The matrix's gather locality is
-        measured once, each granularity binned once, and each distinct
-        plan -- one kernel over one sequence of row sets; a single bin
-        and a ``U`` of at least the row count make the same one --
-        profiled once.  Returns the base plan, for the seeding request
-        to run, or ``None``: a seeded key is never seeded again.
+        Every prior is what the device charges one run of the arm's
+        plan: the plan bound on :attr:`device`, as
+        ``predicted_seconds()``.  The tree arm's prior is the base
+        plan's own prediction (bound here when the planner left it
+        ``None``); each candidate arm's is its override plan's on the
+        first matrix seen for this key.  The matrix's effective gather
+        locality is measured once, and each granularity binned and its
+        overhead priced once for its kernels.  Returns the base plan,
+        for the seeding request to run, or ``None``: a seeded key is
+        never seeded again.
         """
         if (key, TREE_ARM_NAME) in self._priors:
             return None
         base_plan = self._base(matrix)
-        locality = gather_locality(matrix)
-        predicted = base_plan.predicted_seconds
-        if predicted is None:
-            predicted = self.profiler.profile_plan(
-                matrix, base_plan, locality=locality
-            ).total_seconds()
-        self._priors[(key, TREE_ARM_NAME)] = float(predicted)
-        #: granularity -> (binning, its non-empty row sets as bytes)
-        binned: Dict[int, Tuple[Any, Tuple[bytes, ...]]] = {}
-        #: (kernel, row sets) -> prior
-        priced: Dict[Tuple[str, Tuple[bytes, ...]], float] = {}
+        spec = self.device.spec
+        locality = effective_gather_locality(matrix, spec)
+
+        def bound_seconds(plan: ExecutionPlan, overhead: float) -> float:
+            return self.device.bind(matrix, plan.dispatches(),
+                                    locality=locality,
+                                    extra_seconds=overhead).predicted_seconds()
+
+        tree = base_plan.predicted_seconds
+        if tree is None:
+            tree = bound_seconds(
+                base_plan, base_plan.scheme.overhead_seconds(matrix, spec))
+        self._priors[(key, TREE_ARM_NAME)] = float(tree)
+        #: granularity -> (binning, its overhead)
+        binned: Dict[int, Tuple[Any, float]] = {}
         for arm in self.arms:
             if arm.is_tree:
                 continue
             if arm.granularity not in binned:
-                binning = self._arm_scheme(arm).bin_rows(matrix)
-                binned[arm.granularity] = (binning, tuple(
-                    np.asarray(rows, dtype=np.int64).tobytes()
-                    for _, rows in binning.non_empty()
-                ))
-            binning, row_sets = binned[arm.granularity]
-            plan_key = (arm.kernel, row_sets)
-            if plan_key not in priced:
-                priced[plan_key] = self.profiler.profile_plan(
-                    matrix, self._arm_plan(matrix, arm, binning),
-                    locality=locality,
-                ).total_seconds()
-            self._priors[(key, arm.name)] = priced[plan_key]
+                scheme = self._arm_scheme(arm)
+                binned[arm.granularity] = (
+                    scheme.bin_rows(matrix),
+                    scheme.overhead_seconds(matrix, spec))
+            binning, overhead = binned[arm.granularity]
+            self._priors[(key, arm.name)] = bound_seconds(
+                self._arm_plan(matrix, arm, binning), overhead)
         return base_plan
 
     # -- feedback --------------------------------------------------------

@@ -28,7 +28,6 @@ parameter -- see :mod:`repro.resilient`.
 from repro.serve.batch import (
     CPUBatchResult,
     cpu_batch_spmm,
-    iter_column_blocks,
     run_plan_spmm,
     run_plan_spmv,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "run_plan_spmv",
     "run_plan_spmm",
     "cpu_batch_spmm",
-    "iter_column_blocks",
     "CPUBatchResult",
     "SpMVServer",
     "ServerStats",

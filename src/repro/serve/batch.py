@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "run_plan_spmv",
     "run_plan_spmm",
     "cpu_batch_spmm",
-    "iter_column_blocks",
     "CPUBatchResult",
 ]
 
@@ -129,14 +128,6 @@ def run_cached(
     )
     ran = fallbacks[-1] if outcome.degraded else plan
     return res, ran, outcome.attempts, outcome.degraded
-
-
-def iter_column_blocks(k: int, width: int) -> Iterator[tuple[int, int]]:
-    """Yield ``[lo, hi)`` column ranges of at most ``width`` columns."""
-    if width <= 0:
-        raise ValueError(f"width must be > 0, got {width}")
-    for lo in range(0, k, width):
-        yield lo, min(lo + width, k)
 
 
 @dataclass(frozen=True)

@@ -449,12 +449,11 @@ class SpMVServer:
             # Imported lazily -- same rationale as the shard layer: no
             # import tax on servers that never learn.
             from repro.learn.selector import OnlineSelector
-            from repro.trace.profiler import KernelProfiler
 
             self._selector = OnlineSelector(
                 learning,
                 self._planner,
-                profiler=KernelProfiler(unwrap_device(self.device).spec),
+                device=unwrap_device(self.device),
                 registry=self.registry,
             )
             # The selector becomes THE planner: the plan cache and the

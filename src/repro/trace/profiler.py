@@ -19,11 +19,15 @@ sweep) it reports, per (granularity U, bin id, kernel):
   launch's actual byte traffic.
 
 Everything derives from the deterministic cost models -- profiling the
-same matrix twice yields byte-identical reports (pinned by test).
+same matrix twice yields byte-identical reports (pinned by test).  Each
+launch is priced at the device's effective gather locality, the one
+:meth:`~repro.device.executor.SimulatedDevice.bind` prices at, so a
+plan's profile total is the sum of its bound plan's dispatch seconds:
+kernel seconds, without launch or binning overhead.
 
-The module deliberately imports only the model layers (binning,
-kernels, device spec/dispatch/occupancy/memory) -- no executor, no
-serving stack -- so it can profile plans without pulling in threads.
+The module imports the model layers (binning, kernels, device
+spec/dispatch/memory) and the plan type, which brings in the simulated
+device, but no serving stack.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 from repro.binning.coarse import DEFAULT_GRANULARITIES, CoarseBinning
 from repro.core.plan import ExecutionPlan
 from repro.device.dispatch import DispatchStats, dispatch_breakdown
-from repro.device.memory import gather_locality
+from repro.device.memory import effective_gather_locality
 from repro.device.spec import DeviceSpec
 from repro.formats.csr import CSRMatrix
 from repro.kernels.base import ROW_OVERHEAD_INSTR, Kernel, price_launches
@@ -96,7 +100,8 @@ class ProfileReport:
         return len(self.rows)
 
     def total_seconds(self) -> float:
-        """Simulated seconds across all profiled launches."""
+        """Simulated kernel seconds across all profiled launches (no
+        launch or binning overhead)."""
         return float(sum(r.total_seconds for r in self.rows))
 
     def by_kernel(self) -> Dict[str, List[DispatchProfile]]:
@@ -167,33 +172,12 @@ class ProfileReport:
 class KernelProfiler:
     """Evaluates the analytical cost model into dispatch profiles.
 
-    Every call re-runs the model: its callers profile each key once
-    (the online selector each distinct arm plan of a new feature
-    bucket, a sweep each (U, bin, kernel), the CLI once per command).
+    Every call re-runs the model; its one caller in the package, the
+    CLI's ``trace`` command, profiles one plan or one sweep per command.
     """
 
     def __init__(self, spec: Optional[DeviceSpec] = None):
         self.spec = DeviceSpec.kaveri_apu() if spec is None else spec
-
-    # -- single dispatches ----------------------------------------------
-    def profile_dispatch(
-        self,
-        matrix: CSRMatrix,
-        kernel_name: str,
-        rows: np.ndarray,
-        *,
-        granularity: int = 0,
-        bin_id: int = 0,
-        locality: Optional[float] = None,
-    ) -> DispatchProfile:
-        """Profile one kernel launch over an explicit row set."""
-        kernel = get_kernel(kernel_name)
-        row_lengths = matrix.row_lengths()[np.asarray(rows, dtype=np.int64)]
-        loc = gather_locality(matrix) if locality is None else locality
-        return self._profile(kernel.name, kernel.cost(row_lengths, loc,
-                                                      self.spec),
-                             int(len(row_lengths)), int(row_lengths.sum()),
-                             granularity, bin_id)
 
     def _profiles(
         self,
@@ -274,25 +258,19 @@ class KernelProfiler:
         )
 
     # -- whole plans -----------------------------------------------------
-    def profile_plan(
-        self,
-        matrix: CSRMatrix,
-        plan: ExecutionPlan,
-        *,
-        locality: Optional[float] = None,
-    ) -> ProfileReport:
+    def profile_plan(self, matrix: CSRMatrix,
+                     plan: ExecutionPlan) -> ProfileReport:
         """Profile every launch an execution plan would make.
 
-        ``locality`` defaults to the matrix's measured gather locality;
-        a caller profiling several plans of one matrix measures it once
-        and passes it in.  Each kernel's launches are priced in one
-        batch; the report lists them in bin order.
+        Each kernel's launches are priced in one batch; the report lists
+        them in bin order, and its total is the plan's bound dispatch
+        seconds.
         """
-        loc = gather_locality(matrix) if locality is None else locality
         launches = [(b, get_kernel(plan.bin_kernels[b]), rows)
                     for b, rows in plan.binning.non_empty()]
         return self._report(matrix, self._profiles(
-            matrix.row_lengths(), launches, loc,
+            matrix.row_lengths(), launches,
+            effective_gather_locality(matrix, self.spec),
             getattr(plan.scheme, "u", 0)))
 
     def _report(self, matrix: CSRMatrix,
@@ -319,7 +297,7 @@ class KernelProfiler:
         on every non-empty bin.  Deterministic and purely analytical --
         no kernel actually computes anything.
         """
-        loc = gather_locality(matrix)
+        loc = effective_gather_locality(matrix, self.spec)
         lengths = matrix.row_lengths()
         kernels = [get_kernel(name) for name in kernel_names]
         rows: List[DispatchProfile] = []

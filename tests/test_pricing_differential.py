@@ -165,23 +165,29 @@ def test_a_batch_needs_bounds_over_non_empty_bins(bounds):
         get_kernel("serial").cost(np.ones(3), 0.5, SPEC, bounds)
 
 
-def test_batched_profiles_match_one_dispatch_at_a_time():
+def test_batched_profiles_match_one_dispatch_at_a_time(monkeypatch):
     """profile_plan prices each kernel's launches in one batch; every row
-    equals that launch profiled alone."""
+    equals that launch priced alone with ``Kernel.cost`` and profiled."""
     from repro.binning import CoarseBinning
     from repro.core.plan import ExecutionPlan
-    from repro.trace.profiler import KernelProfiler
+    from repro.trace import profiler as profiler_mod
 
-    profiler = KernelProfiler(SPEC)
+    monkeypatch.setattr(profiler_mod, "effective_gather_locality",
+                        lambda matrix, spec: 0.61)
+    profiler = profiler_mod.KernelProfiler(SPEC)
     for matrix in _prediction_matrices("tenant_mix")[:6]:
         binning = CoarseBinning(20).bin_rows(matrix)
         plan = ExecutionPlan(
             scheme=CoarseBinning(20), binning=binning,
             bin_kernels={b: DEFAULT_KERNEL_NAMES[i % 9] for i, (b, _) in
                          enumerate(binning.non_empty())})
-        report = profiler.profile_plan(matrix, plan, locality=0.61)
-        alone = [profiler.profile_dispatch(
-            matrix, plan.bin_kernels[b], rows, granularity=20, bin_id=b,
-            locality=0.61) for b, rows in binning.non_empty()]
+        report = profiler.profile_plan(matrix, plan)
+        lengths = matrix.row_lengths()
+        alone = []
+        for b, rows in binning.non_empty():
+            kernel = get_kernel(plan.bin_kernels[b])
+            alone.append(profiler._profile(
+                kernel.name, kernel.cost(lengths[rows], 0.61, SPEC),
+                len(rows), int(lengths[rows].sum()), 20, b))
         assert report.as_dict()["dispatches"] == profiler._report(
             matrix, alone).as_dict()["dispatches"]

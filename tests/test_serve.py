@@ -18,7 +18,6 @@ from repro.serve import (
     PlanCache,
     SpMVServer,
     fingerprint_matrix,
-    iter_column_blocks,
     run_plan_spmm,
     run_plan_spmv,
 )
@@ -533,16 +532,6 @@ class TestServer:
         assert set(stats.stage_seconds) == {"fingerprint", "plan", "execute"}
         assert all(v >= 0.0 for v in stats.stage_seconds.values())
         assert "hit rate" in stats.describe()
-
-
-class TestColumnBlocks:
-    def test_covers_range(self):
-        blocks = list(iter_column_blocks(10, 4))
-        assert blocks == [(0, 4), (4, 8), (8, 10)]
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            list(iter_column_blocks(10, 0))
 
 
 class TestConcurrency:

@@ -393,6 +393,7 @@ class TestKernelProfiler:
         from repro.binning import CoarseBinning
         from repro.core.plan import ExecutionPlan
         from repro.matrices import generators as gen
+        from repro.trace import profiler as profiler_mod
 
         m = gen.power_law_graph(3_000, seed=1)
         binning = CoarseBinning(50).bin_rows(m)
@@ -402,11 +403,15 @@ class TestKernelProfiler:
             bin_kernels={b: kernels[i % 3] for i, (b, _) in
                          enumerate(binning.non_empty())})
         assert binning.n_nonempty > 3
+        # The locality pass reads row lengths of its own; pin it, so
+        # what is counted is the pricing of every bin.
+        monkeypatch.setattr(profiler_mod, "effective_gather_locality",
+                            lambda matrix, spec: 0.5)
         calls = []
         row_lengths = CSRMatrix.row_lengths
         monkeypatch.setattr(CSRMatrix, "row_lengths",
                             lambda self: calls.append(1) or row_lengths(self))
-        report = KernelProfiler().profile_plan(m, plan, locality=0.5)
+        report = KernelProfiler().profile_plan(m, plan)
         assert len(calls) == 1
         assert [r.bin_id for r in report.rows] == [
             b for b, _ in binning.non_empty()]
